@@ -10,6 +10,10 @@
 // Acceptance criterion (ISSUE 2): >= 2x throughput over independent
 // execution at 8 queries.
 //
+// Before timing, every config's rows are compared with independent
+// engines on the same stream; the binary exits non-zero on divergence, so a
+// smoke run also gates correctness of the shared-core cell layout.
+//
 // Prints the usual fixed-width table plus one JSON row per (n, mode) for
 // the bench trajectory files.
 //
@@ -31,7 +35,7 @@ namespace greta::bench {
 namespace {
 
 // Aggregates cycled across the workload: half read the snapshot count
-// alone, half fold attribute components through dedicated fold slots.
+// alone, half fold S.price components through the one fold slot they share.
 const char* kAggVariants[] = {
     "COUNT(*)", "SUM(S.price)",  "COUNT(*)", "MIN(S.price)",
     "COUNT(*)", "AVG(S.price)",  "COUNT(*)", "MAX(S.price)",
@@ -61,6 +65,40 @@ std::vector<QuerySpec> MakeWorkload(Catalog* catalog, int n, Ts within,
     workload.push_back(std::move(spec).value());
   }
   return workload;
+}
+
+// Runs `stream` through fresh shared and independent runtimes (untimed)
+// and compares every query's rows; returns false with `diff` set on the
+// first divergence.
+bool RowsMatchIndependent(const Catalog* catalog,
+                          const std::vector<QuerySpec>& workload,
+                          const Stream& stream,
+                          const sharing::SharedEngineOptions& shared_opts,
+                          const sharing::SharedEngineOptions& indep_opts,
+                          std::string* diff) {
+  auto run = [&](const sharing::SharedEngineOptions& opts) {
+    std::vector<QuerySpec> specs;
+    for (const QuerySpec& spec : workload) specs.push_back(spec.Clone());
+    auto engine =
+        sharing::SharedWorkloadEngine::Create(catalog, specs, opts);
+    GRETA_CHECK(engine.ok());
+    for (const Event& e : stream.events()) {
+      GRETA_CHECK(engine.value()->Process(e).ok());
+    }
+    GRETA_CHECK(engine.value()->Flush().ok());
+    return std::move(engine).value();
+  };
+  auto shared = run(shared_opts);
+  auto independent = run(indep_opts);
+  for (size_t q = 0; q < workload.size(); ++q) {
+    std::string query_diff;
+    if (!RowsEquivalent(shared->TakeResults(q), independent->TakeResults(q),
+                        shared->agg_plan_for(q), &query_diff)) {
+      *diff = "query " + std::to_string(q) + ": " + query_diff;
+      return false;
+    }
+  }
+  return true;
 }
 
 void PrintJsonRow(const char* mode, int n, const RunResult& r,
@@ -111,6 +149,20 @@ int Run(const Flags& flags) {
 
     sharing::SharedEngineOptions shared_opts;
     shared_opts.engine.counter_mode = CounterMode::kModular;
+    sharing::SharedEngineOptions indep_opts = shared_opts;
+    indep_opts.sharing.enable_sharing = false;
+
+    std::string diff;
+    if (!RowsMatchIndependent(
+            &catalog,
+            MakeWorkload(&catalog, static_cast<int>(n), within, slide, factor),
+            stream, shared_opts, indep_opts, &diff)) {
+      std::printf("ERROR: partial-sharing rows diverge from independent "
+                  "engines at %lld queries: %s\n",
+                  static_cast<long long>(n), diff.c_str());
+      return 1;
+    }
+
     auto shared_engine = sharing::SharedWorkloadEngine::Create(
         &catalog,
         MakeWorkload(&catalog, static_cast<int>(n), within, slide, factor),
@@ -124,8 +176,6 @@ int Run(const Flags& flags) {
     GRETA_CHECK(partial_clusters == 1);  // The whole workload is one core.
     RunResult shared = RunStream(shared_engine.value().get(), stream);
 
-    sharing::SharedEngineOptions indep_opts = shared_opts;
-    indep_opts.sharing.enable_sharing = false;
     auto indep_engine = sharing::SharedWorkloadEngine::Create(
         &catalog,
         MakeWorkload(&catalog, static_cast<int>(n), within, slide, factor),
@@ -144,7 +194,8 @@ int Run(const Flags& flags) {
     PrintJsonRow("independent", static_cast<int>(n), independent, 1.0);
   }
   std::printf(
-      "\nThroughput and memory, partial sharing vs independent execution\n");
+      "\nThroughput and memory, partial sharing vs independent execution "
+      "(rows verified every point)\n");
   table.Print();
   return 0;
 }

@@ -174,7 +174,8 @@ struct AggCell {
 
   /// Partial sharing (Hamlet snapshot propagation): predecessor fold of the
   /// non-count components only. The trend count lives once in the shared
-  /// snapshot cell; this cell carries one query's attribute aggregates.
+  /// snapshot; `plan` is a fold slot's union plan on core edges and the
+  /// owning query's own plan at a hand-off.
   void AddPredecessorFold(const AggCell& pred, const AggPlan& plan) {
     if (plan.need_type_count) type_count.Add(pred.type_count, plan.mode);
     if (plan.need_min && pred.min < min) min = pred.min;

@@ -55,6 +55,46 @@ void ExplainGraph(const GraphPlan& gp, size_t index, const Catalog& catalog,
   }
 }
 
+// Partial sharing layout: the cells a shared-core vertex keeps per window
+// and which queries read each fold slot.
+void ExplainPartial(const PartialSharingPlan& partial, const Catalog& catalog,
+                    std::string* out) {
+  const size_t nq = partial.fold_slots.size();
+  *out += "partial sharing: " + std::to_string(nq) + " queries, " +
+          std::to_string(partial.num_core_states) +
+          " shared core state(s); core cells per (vertex, window): " +
+          std::to_string(partial.core_stride()) + "\n";
+  auto members = [&](int slot) {
+    std::string list;
+    for (size_t q = 0; q < nq; ++q) {
+      if (partial.fold_slots[q] != slot) continue;
+      list += (list.empty() ? "" : ", ") + std::to_string(q);
+    }
+    return list;
+  };
+  for (size_t f = 0; f < partial.fold_plans.size(); ++f) {
+    const AggPlan& a = partial.fold_plans[f];
+    const EventTypeDef& type = catalog.type(a.target_type);
+    *out += "  fold slot " + std::to_string(f) + ": " + type.name;
+    if (a.target_attr != kInvalidAttr) {
+      *out += "." + type.attrs[a.target_attr].name;
+    }
+    *out += " [";
+    std::string parts;
+    if (a.need_type_count) parts += " count";
+    if (a.need_sum) parts += " sum";
+    if (a.need_min) parts += " min";
+    if (a.need_max) parts += " max";
+    *out += parts.substr(1) + "]";
+    if (f == 0) *out += " + snapshot count";
+    *out += "; queries " + members(static_cast<int>(f)) + "\n";
+  }
+  const std::string no_slot = members(-1);
+  if (!no_slot.empty()) {
+    *out += "  no core fold (snapshot count only): queries " + no_slot + "\n";
+  }
+}
+
 }  // namespace
 
 std::string ExplainPlan(const ExecPlan& plan, const Catalog& catalog) {
@@ -90,6 +130,7 @@ std::string ExplainPlan(const ExecPlan& plan, const Catalog& catalog) {
     out += "conjunction of " + std::to_string(plan.groups.size()) +
            " term groups (counts multiply)\n";
   }
+  if (plan.partial.has_value()) ExplainPartial(*plan.partial, catalog, &out);
   for (size_t a = 0; a < plan.alternatives.size(); ++a) {
     out += "alternative " + std::to_string(a);
     if (plan.alternatives.size() > 1) out += " (counts sum, disjoint)";

@@ -11,7 +11,9 @@ namespace greta {
 /// query analyzer produces (Figure 4): templates per sub-pattern with
 /// start/end states and transitions, negation links and their placement
 /// cases, predicate attachments (vertex / edge, tree key ranges),
-/// partitioning attributes, window and counter mode. Used by the examples
+/// partitioning attributes, window and counter mode, and for partial-sharing
+/// plans the core cell layout (fold slots by aggregate target with their
+/// member queries). Used by the examples
 /// and handy when debugging query plans.
 std::string ExplainPlan(const ExecPlan& plan, const Catalog& catalog);
 

@@ -412,7 +412,9 @@ bool GretaGraph::InsertAtStatePartial(const EventRef& e, StateId s) {
   int k = static_cast<int>(last_wid - first_wid + 1);
   GRETA_DCHECK(k >= 1 && k <= 64);
   const int stride =
-      owner < 0 ? 1 + static_cast<int>(partial.num_fold_slots) : 1;
+      owner < 0 ? static_cast<int>(partial.core_stride()) : 1;
+
+  const size_t num_folds = partial.fold_plans.size();
 
   scratch_cells_.assign(static_cast<size_t>(k) * stride, AggCell());
   AggCell* const cells = scratch_cells_.data();
@@ -449,14 +451,13 @@ bool GretaGraph::InsertAtStatePartial(const EventRef& e, StateId s) {
       bool contributed = false;
       if (t_owner < 0) {
         // Core-internal edge: ONE snapshot propagation per window (the
-        // structural count every query reads), plus the per-query folds.
+        // structural count every query reads), plus one fold per target.
         for (WindowId w = lo_w; w <= hi_w; ++w) {
           const AggCell* uc = u->cell(w);
           if (uc->count.IsZero()) continue;
           vcell(w)->count.Add(uc->count, exec_->mode);
-          for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
-            vcell(w, f)->AddPredecessorFold(
-                *u->cell(w, f), AggAt(partial.fold_queries[f - 1]));
+          for (size_t f = 0; f < num_folds; ++f) {
+            vcell(w, f)->AddPredecessorFold(uc[f], partial.fold_plans[f]);
           }
           contributed = true;
           ++edges_;
@@ -490,11 +491,10 @@ bool GretaGraph::InsertAtStatePartial(const EventRef& e, StateId s) {
 
   if (owner < 0) {
     for (int i = 0; i < k; ++i) {
-      AggCell& snap = cells[static_cast<size_t>(i) * stride];
-      if (is_start) snap.count.AddOne(exec_->mode);
-      for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
-        cells[static_cast<size_t>(i) * stride + f].FinishVertexFold(
-            e, snap.count, AggAt(partial.fold_queries[f - 1]));
+      AggCell* row = cells + static_cast<size_t>(i) * stride;
+      if (is_start) row[0].count.AddOne(exec_->mode);
+      for (size_t f = 0; f < num_folds; ++f) {
+        row[f].FinishVertexFold(e, row[0].count, partial.fold_plans[f]);
       }
     }
   } else {
@@ -506,7 +506,15 @@ bool GretaGraph::InsertAtStatePartial(const EventRef& e, StateId s) {
   GraphVertex* stored =
       StoreVertex(e, s, first_wid, k, stride, scratch_cells_.data());
 
-  // Incremental final aggregates for every query whose END is this state.
+  // Incremental final aggregates for every query whose END is this state,
+  // with one results lookup per window shared by all of them (run_outs_ is
+  // free here: the batch kernels fall back to this path only before they
+  // fill it).
+  run_outs_.assign(static_cast<size_t>(k), nullptr);
+  auto out_at = [&](int c) -> std::vector<AggOutputs>& {
+    if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(first_wid + c);
+    return *run_outs_[c];
+  };
   const size_t nq = plan_->aggs.size();
   for (size_t q = 0; q < nq; ++q) {
     if (partial.end_states[q] != s) continue;
@@ -519,16 +527,14 @@ bool GretaGraph::InsertAtStatePartial(const EventRef& e, StateId s) {
       for (WindowId w = std::max(first_wid, q_first); w <= last_wid; ++w) {
         const AggCell* snap = stored->cell(w);
         if (snap->count.IsZero()) continue;
-        std::vector<AggOutputs>& out = *ResultsFor(w);
-        out[q].AccumulateEndShared(
-            snap->count, fold >= 0 ? stored->cell(w, fold) : nullptr, qagg);
+        out_at(static_cast<int>(w - first_wid))[q].AccumulateEndShared(
+            snap->count, fold >= 0 ? snap + fold : nullptr, qagg);
       }
     } else {
       for (int i = 0; i < k; ++i) {
         const AggCell& cell = stored->cells[i];
         if (cell.count.IsZero()) continue;
-        std::vector<AggOutputs>& out = *ResultsFor(first_wid + i);
-        out[q].AccumulateEnd(cell, qagg);
+        out_at(i)[q].AccumulateEnd(cell, qagg);
       }
     }
   }
@@ -1138,6 +1144,7 @@ void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
                                       const uint32_t* rows, size_t n, Ts ts) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const PartialSharingPlan& partial = *exec_->partial;
+  const size_t num_folds = partial.fold_plans.size();
 
   uint32_t last_seen_row = 0;
   bool any_seen = false;
@@ -1189,7 +1196,7 @@ void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
     const Ts lo_time =
         window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
     const int stride =
-        owner < 0 ? 1 + static_cast<int>(partial.num_fold_slots) : 1;
+        owner < 0 ? static_cast<int>(partial.core_stride()) : 1;
     const size_t cell_stride = static_cast<size_t>(k) * stride;
 
     const std::vector<StateId>& pred_states = plan_->templ.pred_states(s);
@@ -1258,11 +1265,10 @@ void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
       const int t_owner = partial.transition_owner[run_tidx_[t]];
       if (t_owner < 0) {
         // Core-internal edge: ONE snapshot propagation (the structural count
-        // every query reads), plus the per-query folds.
+        // every query reads), plus one fold per target.
         dst_row[0].count.Add(uc->count, exec_->mode);
-        for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
-          dst_row[f].AddPredecessorFold(*u->cell(w, f),
-                                        AggAt(partial.fold_queries[f - 1]));
+        for (size_t f = 0; f < num_folds; ++f) {
+          dst_row[f].AddPredecessorFold(uc[f], partial.fold_plans[f]);
         }
       } else {
         // Query-owned edge (core hand-off or continuation-internal): only
@@ -1272,9 +1278,7 @@ void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
         const int fold = partial.fold_slots[q];
         if (partial.state_owner[pred_states[t]] < 0) {
           dst_row[0].count.Add(uc->count, qagg.mode);
-          if (fold >= 0) {
-            dst_row[0].AddPredecessorFold(*u->cell(w, fold), qagg);
-          }
+          if (fold >= 0) dst_row[0].AddPredecessorFold(uc[fold], qagg);
         } else {
           dst_row[0].AddPredecessor(*uc, qagg);
         }
@@ -1423,9 +1427,9 @@ void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
         for (int c = 0; c < k; ++c) {
           AggCell* wrow = vrow + static_cast<size_t>(c) * stride;
           if (is_start) wrow[0].count.AddOne(exec_->mode);
-          for (size_t f = 1; f <= partial.num_fold_slots; ++f) {
+          for (size_t f = 0; f < num_folds; ++f) {
             wrow[f].FinishVertexFold(e, wrow[0].count,
-                                     AggAt(partial.fold_queries[f - 1]));
+                                     partial.fold_plans[f]);
           }
         }
       } else {
@@ -1449,8 +1453,7 @@ void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
             const size_t c = static_cast<size_t>(w - first_wid);
             if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(w);
             (*run_outs_[c])[q].AccumulateEndShared(
-                snap->count, fold >= 0 ? stored->cell(w, fold) : nullptr,
-                qagg);
+                snap->count, fold >= 0 ? snap + fold : nullptr, qagg);
           }
         } else {
           for (int c = 0; c < k; ++c) {

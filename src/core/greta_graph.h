@@ -217,9 +217,9 @@ class GretaGraph {
   bool InsertAtState(const EventRef& e, StateId s);
 
   // Partial sharing (ExecPlan::partial): insertion over a merged template.
-  // Shared-core vertices carry one structural snapshot cell per window
-  // (slot 0: the trend count, identical for every query) plus one fold cell
-  // per query that aggregates attributes; per-query continuation vertices
+  // Shared-core vertices carry one cell per aggregate target per window
+  // (PartialSharingPlan::fold_plans), slot 0 also holding the structural
+  // trend count every query reads; per-query continuation vertices
   // carry a single full cell laid out over the owning query's own window
   // range. Negation, pruning and the restricted semantics never reach this
   // path (the planner rejects them for partial clusters).
@@ -358,7 +358,8 @@ class GretaGraph {
   std::vector<int> run_tidx_;                // per transition: t_idx
   std::vector<Counter> run_running_;         // COUNT-kernel accumulators
   std::vector<AggCell> run_acc_;             // generic fold accumulators
-  std::vector<std::vector<AggOutputs>*> run_outs_;  // per window result slot
+  // Per window result slot (also the partial row path's END lookups).
+  std::vector<std::vector<AggOutputs>*> run_outs_;
   // One-entry cache for the per-END-insert results_[wid] hash lookup
   // (window ids advance monotonically, so consecutive END inserts hit the
   // same entry). Entries are stable across rehash (node-based map);

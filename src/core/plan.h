@@ -125,23 +125,36 @@ struct AlternativePlan {
 ///
 /// The shared core propagates ONE structural snapshot per (vertex, window)
 /// — the trend count, identical for every query because the core is each
-/// query's pattern prefix and its predicates agree cluster-wide — while
-/// queries whose aggregates need attribute components (SUM/MIN/MAX/COUNT(E))
-/// fold them through a dedicated *fold slot* next to the snapshot. Window
-/// ids share one grid (equal slide); per-query `within` values only change
-/// which windows of a vertex are live for a query, never a live cell's
-/// content, so the snapshot serves every window length at once.
+/// query's pattern prefix and its predicates agree cluster-wide. Attribute
+/// components (SUM/MIN/MAX/COUNT(E)) fold through *fold slots* keyed by
+/// aggregate target, not by query: every query aggregating the same
+/// (type, attribute) reads the one slot whose plan is the union of its
+/// members' plans, as a GRETA vertex carries all of its aggregates in one
+/// record (Theorem 9.1). Each query still reads only its own components.
+/// Slot 0's cell also holds the snapshot count, so a core vertex keeps
+/// max(1, #distinct targets) cells per window. Window ids share one grid
+/// (equal slide); per-query `within` values only change which windows of a
+/// vertex are live for a query, never a live cell's content, so the
+/// snapshot serves every window length at once.
 struct PartialSharingPlan {
   size_t num_core_states = 0;  // merged-template states [0, n) are shared
   std::vector<int> state_owner;       // per state: query index, or -1 = core
   std::vector<int> transition_owner;  // per transition, same convention
   std::vector<StateId> end_states;    // per query: its END state
   std::vector<WindowSpec> windows;    // per query; ExecPlan::window = union
-  /// Per query: index of its fold slot within a core vertex's cells
-  /// (1 + slot, slot 0 is the snapshot), or -1 when COUNT-only.
+  /// Per query: index of its fold slot within a core vertex's cells, or -1
+  /// when it folds nothing on the core (COUNT(*)-only, or a target type no
+  /// core state has — that fold would stay neutral on every core vertex).
   std::vector<int> fold_slots;
-  std::vector<size_t> fold_queries;  // inverse: fold slot index - 1 -> query
-  size_t num_fold_slots = 0;  // core cells per (vertex, window) = 1 + this
+  /// Per fold slot: the union AggPlan of its member queries. Members agree
+  /// on (target_type, target_attr); a COUNT(E)-only member joins a slot of
+  /// its type.
+  std::vector<AggPlan> fold_plans;
+
+  /// Cells per core (vertex, window); continuation vertices keep one.
+  size_t core_stride() const {
+    return fold_plans.empty() ? 1 : fold_plans.size();
+  }
 };
 
 /// A term group of the final combination. The final COUNT is the product

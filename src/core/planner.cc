@@ -479,6 +479,47 @@ Status DecomposePartialQuery(const QuerySpec& spec, const Catalog& catalog,
   return Status::Ok();
 }
 
+// Keys core fold slots by aggregate target (PartialSharingPlan): queries
+// that agree on (target_type, target_attr) share one slot whose plan ORs
+// their components; a COUNT(E)-only query, which names no attribute, joins
+// the first slot of its type. Attribute-bearing queries are placed first so
+// the layout does not depend on where COUNT(E)-only queries sit in the
+// cluster. COUNT(*)-only queries (no target type) and targets no core state
+// has get no slot.
+void AssignFoldSlots(const std::vector<AggPlan>& aggs,
+                     const GretaTemplate& core, PartialSharingPlan* partial) {
+  std::vector<AggPlan>& slots = partial->fold_plans;
+  partial->fold_slots.assign(aggs.size(), -1);
+  for (bool attr_pass : {true, false}) {
+    for (size_t q = 0; q < aggs.size(); ++q) {
+      const AggPlan& a = aggs[q];
+      const bool has_attr = a.target_attr != kInvalidAttr;
+      if (has_attr != attr_pass ||
+          core.states_for_type(a.target_type).empty()) {
+        continue;
+      }
+      size_t f = 0;
+      while (f < slots.size() &&
+             (slots[f].target_type != a.target_type ||
+              (has_attr && slots[f].target_attr != a.target_attr))) {
+        ++f;
+      }
+      if (f == slots.size()) {
+        AggPlan slot;
+        slot.mode = a.mode;
+        slot.target_type = a.target_type;
+        slot.target_attr = a.target_attr;
+        slots.push_back(slot);
+      }
+      slots[f].need_type_count |= a.need_type_count;
+      slots[f].need_min |= a.need_min;
+      slots[f].need_max |= a.need_max;
+      slots[f].need_sum |= a.need_sum;
+      partial->fold_slots[q] = static_cast<int>(f);
+    }
+  }
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
@@ -589,20 +630,11 @@ StatusOr<std::unique_ptr<ExecPlan>> BuildPartialSharedPlan(
         AggPlan::FromSpecs(specs[q]->aggs, options.counter_mode);
     if (!agg.ok()) return agg.status();
     queries[q].agg = agg.value();
-    const AggPlan& a = queries[q].agg;
-    bool needs_fold =
-        a.need_type_count || a.need_min || a.need_max || a.need_sum;
-    if (needs_fold) {
-      partial.fold_slots.push_back(
-          static_cast<int>(1 + partial.num_fold_slots++));
-      partial.fold_queries.push_back(q);
-    } else {
-      partial.fold_slots.push_back(-1);
-    }
     partial.windows.push_back(specs[q]->window);
-    plan->query_aggs.push_back(a);
+    plan->query_aggs.push_back(agg.value());
     plan->query_agg_specs.push_back(specs[q]->aggs);
   }
+  AssignFoldSlots(plan->query_aggs, core_templ.value(), &partial);
   plan->agg = plan->query_aggs[0];
   plan->agg_specs = specs[0]->aggs;
 

@@ -20,7 +20,13 @@ double ModeGaugeValue(bool merged) { return merged ? 0.0 : 1.0; }
 // step plus one aggregate cell per edge-window over its OWN window range;
 // the merged runtime pays one scan step plus its cell row — n cells for an
 // exact cluster, one snapshot plus one fold per attribute-aggregating
-// query for a partial cluster — over the UNION range.
+// query for a partial cluster — over the UNION range. The partial count is
+// an upper bound: fold slots are shared by aggregate target, so the core
+// keeps PartialSharingPlan::core_stride() cells. Counting those instead
+// makes a cluster whose folds share one target cheaper merged than
+// dedicated at every load (no burst ever splits it), a decision no
+// measurement backs yet; the model keeps the per-query count until it is
+// re-derived from measured per-cell cost.
 ClusterShape ComputeShape(const std::vector<size_t>& query_ids, bool partial,
                           const WindowSpec& bound,
                           const std::vector<QuerySpec>& specs) {

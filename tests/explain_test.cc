@@ -6,6 +6,7 @@
 #include "query/parser.h"
 #include "tests/test_util.h"
 #include "workload/linear_road.h"
+#include "workload/stock.h"
 
 namespace greta {
 namespace {
@@ -45,6 +46,44 @@ TEST(ExplainTest, RendersDisjunctionAlternatives) {
   // the sharded runtime applies (ShardRouter clamps to one shard).
   EXPECT_NE(text.find("sharding: none"), std::string::npos);
   EXPECT_NE(text.find("shard 0"), std::string::npos);
+}
+
+TEST(ExplainTest, RendersPartialSharingLayout) {
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  std::vector<QuerySpec> specs;
+  for (const char* text :
+       {"RETURN COUNT(*) PATTERN Stock S+ WITHIN 10 seconds SLIDE 5 seconds",
+        "RETURN SUM(S.price) PATTERN SEQ(Stock S+, Halt H) "
+        "WITHIN 10 seconds SLIDE 5 seconds",
+        "RETURN AVG(S.volume) PATTERN Stock S+ "
+        "WITHIN 15 seconds SLIDE 5 seconds",
+        "RETURN COUNT(S) PATTERN Stock S+ WITHIN 20 seconds SLIDE 5 seconds",
+        "RETURN COUNT(H) PATTERN SEQ(Stock S+, Halt H) "
+        "WITHIN 20 seconds SLIDE 5 seconds"}) {
+    auto spec = ParseQuery(text, &catalog);
+    ASSERT_TRUE(spec.ok()) << text << ": " << spec.status().ToString();
+    specs.push_back(std::move(spec).value());
+  }
+  std::vector<const QuerySpec*> spec_ptrs;
+  for (const QuerySpec& spec : specs) spec_ptrs.push_back(&spec);
+  auto engine = GretaEngine::CreatePartial(&catalog, spec_ptrs, {});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::string text = ExplainPlan(engine.value()->plan(), catalog);
+  EXPECT_NE(text.find("partial sharing: 5 queries, 1 shared core state(s); "
+                      "core cells per (vertex, window): 2"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("fold slot 0: Stock.price [count sum] + snapshot "
+                      "count; queries 1, 3"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("fold slot 1: Stock.volume [count sum]; queries 2"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("no core fold (snapshot count only): queries 0, 4"),
+            std::string::npos)
+      << text;
 }
 
 TEST(ResultCallbackTest, FiresAtWindowClose) {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_batch.h"
@@ -632,6 +633,55 @@ TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
       ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
                           "partial agg slot " + std::to_string(q) +
                               " batch=" + std::to_string(batch_size));
+    }
+  }
+}
+
+// Queries sharing fold slots by aggregate target (two attributes of A,
+// COUNT(S) joining an A slot, COUNT(E) on the suffix type with no core
+// slot, COUNT(*)-only), with and without a NEXT predicate (shared fold vs
+// per-event strategy): the batched kernel at ragged sizes must fill the
+// shared slots exactly as InsertAtStatePartial does.
+TEST(BatchEquivalence, PartialSharingSharedTargetSlots) {
+  auto catalog = FuzzCatalog();
+  for (const char* where : {"", " WHERE S.x < NEXT(S).x"}) {
+    std::vector<QuerySpec> specs;
+    for (const auto& [head, within] :
+         std::vector<std::pair<const char*, int>>{
+             {"RETURN COUNT(S) PATTERN SEQ(A S+, B E)", 4},
+             {"RETURN SUM(S.x), MIN(S.x) PATTERN A S+", 8},
+             {"RETURN AVG(S.g) PATTERN SEQ(A S+, B E)", 8},
+             {"RETURN MAX(S.x), COUNT(S) PATTERN A S+", 4},
+             {"RETURN COUNT(E) PATTERN SEQ(A S+, B E)", 12},
+             {"RETURN COUNT(*) PATTERN A S+", 12},
+             {"RETURN MIN(S.g), MAX(S.g) PATTERN A S+", 16}}) {
+      specs.push_back(Parse(std::string(head) + where + " WITHIN " +
+                                std::to_string(within) +
+                                " seconds SLIDE 4 seconds",
+                            catalog.get()));
+    }
+    std::vector<const QuerySpec*> spec_ptrs;
+    for (const QuerySpec& s : specs) spec_ptrs.push_back(&s);
+    const std::string label = std::string("shared targets") + where;
+
+    Stream stream = FuzzStream(catalog.get(), 179, 150);
+    auto scalar = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    EXPECT_EQ(scalar.value()->plan().partial->core_stride(), 2u) << label;
+    ProcessStream(scalar.value().get(), stream);
+    std::vector<std::vector<ResultRow>> expected;
+    for (size_t q = 0; q < specs.size(); ++q) {
+      expected.push_back(scalar.value()->TakeResultsFor(q));
+    }
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+      auto batched = GretaEngine::CreatePartial(catalog.get(), spec_ptrs, {});
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      ProcessStreamBatched(batched.value().get(), stream, batch_size);
+      for (size_t q = 0; q < specs.size(); ++q) {
+        ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
+                            label + " slot " + std::to_string(q) +
+                                " batch=" + std::to_string(batch_size));
+      }
     }
   }
 }

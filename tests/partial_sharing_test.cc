@@ -1,6 +1,7 @@
 // Partial sharing of common Kleene sub-patterns (Hamlet snapshot
-// propagation): planner pooling, the merged snapshot-propagating runtime,
-// and the equivalence suite asserting that every query of a partially
+// propagation): planner pooling, the core cell layout (fold slots keyed by
+// aggregate target), the merged snapshot-propagating runtime, and the
+// equivalence suite asserting that every query of a partially
 // shared cluster produces the same rows as its own dedicated engine —
 // across differing pattern suffixes, differing window lengths with equal
 // slide, grouping, every aggregate kind, unbounded windows, and semantics
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/plan.h"
 #include "gtest/gtest.h"
 #include "query/parser.h"
 #include "sharing/shared_engine.h"
@@ -93,6 +95,108 @@ size_t NumPartialClusters(const SharingPlan& plan) {
 // per company, grouped by sector.
 const char* kCoreTail =
     " WHERE [company, sector] AND S.price > NEXT(S).price GROUP-BY sector";
+
+// Every aggregate kind over the core, on two attributes, with windows
+// cycled so no two queries share an exact fingerprint.
+std::vector<QuerySpec> AllAggregateKindsWorkload(Catalog* catalog) {
+  std::vector<QuerySpec> workload;
+  const std::vector<std::string> aggs = {
+      "COUNT(*)", "SUM(S.price)", "MIN(S.price), MAX(S.price)", "COUNT(S)",
+      "AVG(S.volume)"};
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    Ts within = 5 + 5 * static_cast<Ts>(i);
+    workload.push_back(Parse(
+        "RETURN sector, " + aggs[i] + " PATTERN Stock S+" + kCoreTail +
+            " WITHIN " + std::to_string(within) +
+            " seconds SLIDE 5 seconds",
+        catalog));
+  }
+  return workload;
+}
+
+// Compiles `workload` as one partial cluster and returns its core layout.
+PartialSharingPlan PartialLayout(const std::vector<QuerySpec>& workload,
+                                 const Catalog& catalog) {
+  std::vector<const QuerySpec*> specs;
+  for (const QuerySpec& spec : workload) specs.push_back(&spec);
+  auto plan = BuildPartialSharedPlan(specs, catalog, PlannerOptions{});
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok() || !plan.value()->partial.has_value()) return {};
+  return *plan.value()->partial;
+}
+
+TEST(PartialSharingPlannerTest, FoldSlotsKeyedByAggregateTarget) {
+  auto catalog = StockCatalog();
+  const TypeId stock = catalog->FindType("Stock");
+  const AttrId price = catalog->type(stock).FindAttr("price");
+  const AttrId volume = catalog->type(stock).FindAttr("volume");
+
+  // The 8-query down-trend workload of the repository benchmark
+  // (perfbench `shared_partial`): five aggregate kinds over S.price, two
+  // suffixes, four window lengths. Every attribute fold lands in one slot,
+  // which also carries the snapshot count.
+  {
+    std::vector<QuerySpec> workload;
+    const char* aggs[] = {"COUNT(*)", "SUM(S.price)", "MIN(S.price)",
+                          "MAX(S.price)", "AVG(S.price)"};
+    for (int i = 0; i < 8; ++i) {
+      std::string pattern =
+          i % 2 == 0 ? "Stock S+" : "SEQ(Stock S+, Halt H)";
+      workload.push_back(Parse(
+          std::string("RETURN company, ") + aggs[i % 5] + " PATTERN " +
+              pattern +
+              " WHERE [company] AND S.price > NEXT(S).price "
+              "GROUP-BY company WITHIN " +
+              std::to_string(10 + 5 * (i / 2)) + " seconds SLIDE 5 seconds",
+          catalog.get()));
+    }
+    PartialSharingPlan layout = PartialLayout(workload, *catalog);
+    ASSERT_EQ(layout.fold_plans.size(), 1u);
+    EXPECT_EQ(layout.core_stride(), 1u);
+    EXPECT_EQ(layout.fold_slots,
+              (std::vector<int>{-1, 0, 0, 0, 0, -1, 0, 0}));
+    const AggPlan& slot = layout.fold_plans[0];
+    EXPECT_EQ(slot.target_type, stock);
+    EXPECT_EQ(slot.target_attr, price);
+    EXPECT_TRUE(slot.need_sum && slot.need_min && slot.need_max &&
+                slot.need_type_count);
+  }
+
+  // Two attributes: one slot each; COUNT(S) names no attribute and joins
+  // the first Stock slot instead of opening a third.
+  {
+    std::vector<QuerySpec> workload = AllAggregateKindsWorkload(catalog.get());
+    PartialSharingPlan layout = PartialLayout(workload, *catalog);
+    ASSERT_EQ(layout.fold_plans.size(), 2u);
+    EXPECT_EQ(layout.core_stride(), 2u);
+    EXPECT_EQ(layout.fold_slots, (std::vector<int>{-1, 0, 0, 0, 1}));
+    const AggPlan& by_price = layout.fold_plans[0];
+    EXPECT_EQ(by_price.target_attr, price);
+    EXPECT_TRUE(by_price.need_sum && by_price.need_min &&
+                by_price.need_max && by_price.need_type_count);
+    const AggPlan& by_volume = layout.fold_plans[1];
+    EXPECT_EQ(by_volume.target_attr, volume);
+    EXPECT_TRUE(by_volume.need_sum && by_volume.need_type_count);
+    EXPECT_FALSE(by_volume.need_min || by_volume.need_max);
+  }
+
+  // COUNT(H) targets a type no core state has: no slot, one cell.
+  {
+    std::vector<QuerySpec> workload;
+    workload.push_back(Parse(
+        std::string("RETURN sector, COUNT(H) PATTERN SEQ(Stock S+, Halt H)") +
+            kCoreTail + " WITHIN 10 seconds SLIDE 5 seconds",
+        catalog.get()));
+    workload.push_back(Parse(
+        std::string("RETURN sector, COUNT(*) PATTERN Stock S+") + kCoreTail +
+            " WITHIN 20 seconds SLIDE 5 seconds",
+        catalog.get()));
+    PartialSharingPlan layout = PartialLayout(workload, *catalog);
+    EXPECT_TRUE(layout.fold_plans.empty());
+    EXPECT_EQ(layout.core_stride(), 1u);
+    EXPECT_EQ(layout.fold_slots, (std::vector<int>{-1, -1}));
+  }
+}
 
 TEST(PartialSharingPlannerTest, PoolsDifferingSuffixesAndWindows) {
   auto catalog = StockCatalog();
@@ -235,19 +339,45 @@ TEST(PartialSharingEquivalenceTest, DifferingWindowsEqualSlide) {
 TEST(PartialSharingEquivalenceTest, AllAggregateKindsFoldThroughSnapshots) {
   auto catalog = StockCatalog();
   Stream stream = StockStream(catalog.get());
+  std::vector<QuerySpec> workload = AllAggregateKindsWorkload(catalog.get());
+  auto shared = ExpectWorkloadEquivalent(catalog.get(), workload, stream);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(NumPartialClusters(shared->sharing_plan()), 1u);
+}
+
+TEST(PartialSharingEquivalenceTest, SharedTargetSlotsMixedAggregates) {
+  // Queries on both Stock attributes, COUNT(S) (joins a Stock slot),
+  // COUNT(H) (no core slot) and COUNT(*)-only, over both suffixes, with
+  // the COUNT(S) query listed first: every query reads only its own
+  // components out of the slots it shares.
+  auto catalog = StockCatalog();
+  Stream stream = StockStream(catalog.get(), /*halt_probability=*/0.1);
+  struct Q {
+    const char* aggs;
+    const char* pattern;
+    int within;
+  };
+  const Q queries[] = {
+      {"COUNT(S)", "SEQ(Stock S+, Halt H)", 5},
+      {"SUM(S.price), MAX(S.price)", "Stock S+", 10},
+      {"AVG(S.volume)", "SEQ(Stock S+, Halt H)", 15},
+      {"COUNT(H)", "SEQ(Stock S+, Halt H)", 20},
+      {"COUNT(*)", "Stock S+", 15},
+      {"MIN(S.volume), COUNT(S)", "Stock S+", 5},
+      {"AVG(S.price)", "SEQ(Stock S+, Halt H)", 10},
+  };
   std::vector<QuerySpec> workload;
-  const std::vector<std::string> aggs = {
-      "COUNT(*)", "SUM(S.price)", "MIN(S.price), MAX(S.price)", "COUNT(S)",
-      "AVG(S.volume)"};
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    // Cycle windows so no two queries share an exact fingerprint.
-    Ts within = 5 + 5 * static_cast<Ts>(i);
+  for (const Q& q : queries) {
     workload.push_back(Parse(
-        "RETURN sector, " + aggs[i] + " PATTERN Stock S+" + kCoreTail +
-            " WITHIN " + std::to_string(within) +
+        std::string("RETURN sector, ") + q.aggs + " PATTERN " + q.pattern +
+            kCoreTail + " WITHIN " + std::to_string(q.within) +
             " seconds SLIDE 5 seconds",
         catalog.get()));
   }
+  PartialSharingPlan layout = PartialLayout(workload, *catalog);
+  EXPECT_EQ(layout.core_stride(), 2u);
+  EXPECT_EQ(layout.fold_slots, (std::vector<int>{0, 0, 1, -1, -1, 1, 0}));
+
   auto shared = ExpectWorkloadEquivalent(catalog.get(), workload, stream);
   ASSERT_NE(shared, nullptr);
   EXPECT_EQ(NumPartialClusters(shared->sharing_plan()), 1u);
