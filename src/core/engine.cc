@@ -85,12 +85,13 @@ GretaEngine::GretaEngine(const Catalog* catalog,
       ++kernel_per_delivery_[static_cast<size_t>(gp.kernel)];
     }
   }
-  static constexpr const char* kKernelSeries[3] = {
+  static constexpr const char* kKernelSeries[kNumPropKernels] = {
       "greta_core_kernel_dispatch_total{kernel=\"count_modular\"}",
       "greta_core_kernel_dispatch_total{kernel=\"count_exact\"}",
       "greta_core_kernel_dispatch_total{kernel=\"generic\"}",
+      "greta_core_kernel_dispatch_total{kernel=\"partial\"}",
   };
-  for (size_t k = 0; k < 3; ++k) {
+  for (size_t k = 0; k < kNumPropKernels; ++k) {
     if (kernel_per_delivery_[k] > 0) {
       tm_.kernel_dispatch[k] = reg.CounterIf(kKernelSeries[k]);
     }
@@ -407,7 +408,7 @@ void GretaEngine::EmitWindow(WindowId wid) {
   GRETA_TM_ADD(tm_.edges_traversed, obs.edges_traversed);
   const uint64_t deliveries = tm_deliveries_ - tm_prev_deliveries_;
   tm_prev_deliveries_ = tm_deliveries_;
-  for (size_t k = 0; k < 3; ++k) {
+  for (size_t k = 0; k < kNumPropKernels; ++k) {
     if (tm_.kernel_dispatch[k] != nullptr) {
       tm_.kernel_dispatch[k]->Add(kernel_per_delivery_[k] * deliveries);
     }

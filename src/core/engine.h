@@ -263,7 +263,7 @@ class GretaEngine : public EngineInterface {
     telemetry::Counter* edges_traversed = nullptr;
     telemetry::Counter* windows_closed = nullptr;
     // Indexed by PropKernel; only kinds present in the plan are registered.
-    telemetry::Counter* kernel_dispatch[3] = {nullptr, nullptr, nullptr};
+    telemetry::Counter* kernel_dispatch[kNumPropKernels] = {};
     // Batch-kernel coverage, indexed by GretaGraph::BatchFallbackReason /
     // BatchStrategy (labeled series; see ExplainTelemetry).
     telemetry::Counter* batch_fallback[GretaGraph::kNumBatchFallbackReasons] =
@@ -284,7 +284,7 @@ class GretaEngine : public EngineInterface {
   // DeliverToPartition, which FlushBatch runs on pool threads) and flush
   // into the registry once per window close — the per-event hot path pays
   // one non-atomic increment, not an atomic counter update.
-  uint64_t kernel_per_delivery_[3] = {0, 0, 0};
+  uint64_t kernel_per_delivery_[kNumPropKernels] = {};
   uint64_t tm_deliveries_ = 0;
   uint64_t tm_prev_deliveries_ = 0;
   // Batch rows forced onto the per-event scalar schedule by negation

@@ -15,45 +15,32 @@ GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
                        MemoryTracker* memory)
     : plan_(plan),
       exec_(exec),
+      partial_(exec->partial.has_value() ? &*exec->partial : nullptr),
       num_queries_(plan->aggs.empty() ? 1
                                       : static_cast<int>(plan->aggs.size())),
       panes_(PaneSize(exec->window), plan->templ.num_states(), memory),
       single_window_(MaxWindowsPerEvent(exec->window) == 1) {
   transition_links_.resize(plan_->templ.transitions().size());
-  if (!exec_->window.unbounded() &&
-      exec_->window.within == exec_->window.slide) {
-    tumbling_slide_ = exec_->window.slide;
-  }
-  // Kernel dispatch: resolved once per graph, not branch-tested per edge.
-  if (exec_->partial.has_value()) {
-    insert_fn_ = &GretaGraph::InsertAtStatePartial;
-  } else if (num_queries_ == 1) {
-    switch (plan_->kernel) {
-      case PropKernel::kCountModular:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountModular, true>;
-        break;
-      case PropKernel::kCountExact:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountExact, true>;
-        break;
-      case PropKernel::kGeneric:
-        insert_fn_ = &GretaGraph::InsertAtState<PropKernel::kGeneric, true>;
-        break;
-    }
-  } else {
-    switch (plan_->kernel) {
-      case PropKernel::kCountModular:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountModular, false>;
-        break;
-      case PropKernel::kCountExact:
-        insert_fn_ =
-            &GretaGraph::InsertAtState<PropKernel::kCountExact, false>;
-        break;
-      case PropKernel::kGeneric:
-        insert_fn_ = &GretaGraph::InsertAtState<PropKernel::kGeneric, false>;
-        break;
+  // Per-state cell layout. Ordinary plans: the exec window and one cell per
+  // query slot everywhere. Partial sharing: core vertices span the union
+  // window with core_stride() fold-slot cells; a continuation vertex spans
+  // its owner's own window (same slide, so the same window-id grid — the
+  // per-query WITHIN only trims the front of the range) with one cell.
+  layout_.resize(plan_->states.size());
+  for (size_t s = 0; s < layout_.size(); ++s) {
+    StateLayout& l = layout_[s];
+    const int owner = partial_ != nullptr ? partial_->state_owner[s] : -1;
+    l.window = owner < 0 ? &exec_->window : &partial_->windows[owner];
+    l.tumbling =
+        !l.window->unbounded() && l.window->within == l.window->slide;
+    if (partial_ == nullptr) {
+      l.stride = num_queries_;
+      l.is_end = plan_->templ.IsEnd(static_cast<StateId>(s));
+    } else {
+      l.stride = owner < 0 ? static_cast<int>(partial_->core_stride()) : 1;
+      for (StateId end : partial_->end_states) {
+        l.is_end |= end == static_cast<StateId>(s);
+      }
     }
   }
 
@@ -61,10 +48,9 @@ GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
   // BatchFastPathEligible, since negation links attach after construction).
   // The amortized kernel family relies only on the frozen-predecessor-set
   // property of strict trend order under skip-till-any-match — sliding
-  // windows, every PropKernel, residual predicates and partial sharing are
-  // all handled by strategy selection inside the run kernel (the planner
-  // already restricts partial clusters to skip-till-any-match, so the
-  // semantics test covers that path too).
+  // windows, every PropKernel and residual predicates are all handled by
+  // strategy selection inside the run kernel (the planner already restricts
+  // partial clusters to skip-till-any-match).
   batch_plan_ok_ = exec_->enable_batch_kernels &&
                    exec_->semantics == Semantics::kSkipTillAnyMatch;
   for (size_t q = 0; q < static_cast<size_t>(num_queries_); ++q) {
@@ -94,23 +80,43 @@ GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
     for (const TransitionPlan& tp : plan_->transitions) {
       edge_filters_.emplace_back(tp.residual_preds);
     }
-    if (exec_->partial.has_value()) {
-      insert_run_fn_ = &GretaGraph::InsertRunFastPartial;
-    } else {
-      switch (plan_->kernel) {
-        case PropKernel::kCountModular:
-          insert_run_fn_ =
-              &GretaGraph::InsertRunFast<PropKernel::kCountModular>;
-          break;
-        case PropKernel::kCountExact:
-          insert_run_fn_ = &GretaGraph::InsertRunFast<PropKernel::kCountExact>;
-          break;
-        case PropKernel::kGeneric:
-          insert_run_fn_ = &GretaGraph::InsertRunFast<PropKernel::kGeneric>;
-          break;
-      }
-    }
   }
+
+  // Kernel dispatch: resolved once per graph, not branch-tested per edge.
+  switch (plan_->kernel) {
+    case PropKernel::kCountModular:
+      BindKernels<PropKernel::kCountModular>();
+      break;
+    case PropKernel::kCountExact:
+      BindKernels<PropKernel::kCountExact>();
+      break;
+    case PropKernel::kGeneric:
+      BindKernels<PropKernel::kGeneric>();
+      break;
+    case PropKernel::kPartial:
+      BindKernels<PropKernel::kPartial>();
+      break;
+  }
+}
+
+template <PropKernel K>
+void GretaGraph::BindKernels() {
+  if constexpr (K == PropKernel::kPartial) {
+    // Strides differ between core and continuation states.
+    insert_fn_ = &GretaGraph::InsertAtState<K, false>;
+  } else {
+    insert_fn_ = num_queries_ == 1 ? &GretaGraph::InsertAtState<K, true>
+                                   : &GretaGraph::InsertAtState<K, false>;
+  }
+  if (batch_plan_ok_) insert_run_fn_ = &GretaGraph::InsertRunFast<K>;
+}
+
+void GretaGraph::WindowRange(StateId s, Ts t, WindowId* first,
+                             WindowId* last) const {
+  const StateLayout& l = layout_[s];
+  *last = LastWindowOf(t, *l.window);
+  // Tumbling window: one id, one division.
+  *first = l.tumbling ? *last : FirstWindowOf(t, *l.window);
 }
 
 void GretaGraph::AttachTransitionLink(int transition_index,
@@ -155,10 +161,10 @@ void GretaGraph::Insert(const EventRef& e) {
 }
 
 GraphVertex* GretaGraph::StoreVertex(const EventRef& e, StateId s,
-                                     WindowId first_wid, int k, int nq,
+                                     WindowId first_wid, int k, int stride,
                                      AggCell* src_cells) {
   const StatePlan& sp = plan_->states[s];
-  const int total = k * nq;
+  const int total = k * stride;
 
   // Move the finished source cells and the stored attribute prefix into
   // the arena of the pane that will own the vertex, then insert. The
@@ -190,7 +196,7 @@ GraphVertex* GretaGraph::StoreVertex(const EventRef& e, StateId s,
   v.state = s;
   v.num_cells = total;
   v.num_wids = static_cast<int16_t>(k);
-  v.num_queries = static_cast<int16_t>(nq);
+  v.stride = static_cast<int16_t>(stride);
   v.num_attrs = num_attrs;
 
   double key = (sp.sort_attr == kInvalidAttr)
@@ -202,6 +208,139 @@ GraphVertex* GretaGraph::StoreVertex(const EventRef& e, StateId s,
   return stored;
 }
 
+namespace {
+
+// The COUNT(*)-only kernels fold bare Counters in a compile-time mode.
+template <PropKernel K>
+constexpr bool kIsCountKernel =
+    K == PropKernel::kCountModular || K == PropKernel::kCountExact;
+template <PropKernel K>
+constexpr CounterMode kCountMode = K == PropKernel::kCountModular
+                                       ? CounterMode::kModular
+                                       : CounterMode::kExact;
+
+}  // namespace
+
+template <PropKernel K>
+inline GretaGraph::EdgeFold GretaGraph::EdgeFoldFor(int t_idx) const {
+  EdgeFold ef;
+  if constexpr (K == PropKernel::kPartial) {
+    const int owner = partial_->transition_owner[t_idx];
+    if (owner < 0) {
+      ef.folds = partial_->fold_plans.data();
+      ef.num_folds = partial_->fold_plans.size();
+      ef.mode = exec_->mode;
+    } else {
+      ef.agg = &AggAt(static_cast<size_t>(owner));
+      ef.hand_off =
+          partial_->state_owner[plan_->templ.transitions()[t_idx].from] < 0;
+      ef.fold = partial_->fold_slots[owner];
+    }
+  }
+  return ef;
+}
+
+template <PropKernel K>
+inline void GretaGraph::FoldEdge(const AggCell* urow, AggCell* dst, int nq,
+                                 const EdgeFold& ef) const {
+  if constexpr (kIsCountKernel<K>) {
+    // COUNT(*)-only: a tight u64 add over the contiguous (window, query)
+    // cell span — no flag tests; promotion checks only in exact mode.
+    for (int q = 0; q < nq; ++q) dst[q].count.Add(urow[q].count, kCountMode<K>);
+  } else if constexpr (K == PropKernel::kGeneric) {
+    for (int q = 0; q < nq; ++q) dst[q].AddPredecessor(urow[q], AggAt(q));
+  } else {
+    if (ef.agg == nullptr) {
+      // Core-internal edge: ONE snapshot propagation (the structural count
+      // every query reads), plus one fold per aggregate target.
+      dst[0].count.Add(urow[0].count, ef.mode);
+      for (size_t f = 0; f < ef.num_folds; ++f) {
+        dst[f].AddPredecessorFold(urow[f], ef.folds[f]);
+      }
+    } else if (ef.hand_off) {
+      // Hand-off: fold the shared snapshot into the owner's continuation.
+      dst[0].count.Add(urow[0].count, ef.agg->mode);
+      if (ef.fold >= 0) dst[0].AddPredecessorFold(urow[ef.fold], *ef.agg);
+    } else {
+      // Continuation-internal edge: the owner's full cell.
+      dst[0].AddPredecessor(urow[0], *ef.agg);
+    }
+  }
+}
+
+template <PropKernel K>
+inline void GretaGraph::FinishRow(AggCell* row, int nq, const EventRef& e,
+                                  StateId s, bool is_start) const {
+  if (!row->active) return;  // Case-3 negation closed this window.
+  if constexpr (kIsCountKernel<K>) {
+    if (is_start) {
+      for (int q = 0; q < nq; ++q) row[q].count.AddOne(kCountMode<K>);
+    }
+  } else if constexpr (K == PropKernel::kGeneric) {
+    for (int q = 0; q < nq; ++q) row[q].FinishVertex(e, is_start, AggAt(q));
+  } else {
+    const int owner = partial_->state_owner[s];
+    if (owner >= 0) {
+      row[0].FinishVertex(e, is_start, AggAt(static_cast<size_t>(owner)));
+      return;
+    }
+    if (is_start) row[0].count.AddOne(exec_->mode);
+    for (size_t f = 0; f < partial_->fold_plans.size(); ++f) {
+      row[f].FinishVertexFold(e, row[0].count, partial_->fold_plans[f]);
+    }
+  }
+}
+
+template <PropKernel K>
+inline void GretaGraph::AccumulateEndRow(const GraphVertex& v, int nq) {
+  auto out_at = [&](int c) -> std::vector<AggOutputs>& {
+    if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(v.first_wid + c);
+    return *run_outs_[c];
+  };
+  if constexpr (K != PropKernel::kPartial) {
+    for (int c = 0; c < v.num_wids; ++c) {
+      const AggCell* row = v.cells + static_cast<size_t>(c) * nq;
+      if (!row->active || row->count.IsZero()) continue;
+      std::vector<AggOutputs>& out = out_at(c);
+      for (int q = 0; q < nq; ++q) {
+        if constexpr (kIsCountKernel<K>) {
+          out[q].count.Add(row[q].count, kCountMode<K>);
+          out[q].any = true;
+        } else {
+          out[q].AccumulateEnd(row[q], AggAt(q));
+        }
+      }
+    }
+  } else {
+    // Every query whose END is this state, each over its own window range.
+    const PartialSharingPlan& partial = *partial_;
+    const bool core = partial.state_owner[v.state] < 0;
+    for (size_t q = 0; q < partial.end_states.size(); ++q) {
+      if (partial.end_states[q] != v.state) continue;
+      const AggPlan& qagg = AggAt(q);
+      if (!core) {
+        for (int c = 0; c < v.num_wids; ++c) {
+          if (v.cells[c].count.IsZero()) continue;
+          out_at(c)[q].AccumulateEnd(v.cells[c], qagg);
+        }
+        continue;
+      }
+      // Core END (the query's whole pattern is the shared core): only the
+      // windows live under q's own WITHIN read the snapshot.
+      const int fold = partial.fold_slots[q];
+      const WindowId q_first = FirstWindowOf(v.time, partial.windows[q]);
+      const int c_first =
+          static_cast<int>(std::max<WindowId>(q_first - v.first_wid, 0));
+      for (int c = c_first; c < v.num_wids; ++c) {
+        const AggCell* snap = v.cells + static_cast<size_t>(c) * nq;
+        if (snap->count.IsZero()) continue;
+        out_at(c)[q].AccumulateEndShared(
+            snap->count, fold >= 0 ? snap + fold : nullptr, qagg);
+      }
+    }
+  }
+}
+
 template <PropKernel K, bool kSingleQuery>
 bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
   const StatePlan& sp = plan_->states[s];
@@ -209,20 +348,14 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
     if (!pred->EvalVertex(e).Truthy()) return false;
   }
 
-  const WindowSpec& window = exec_->window;
+  const WindowSpec& window = *layout_[s].window;
   WindowId first_wid, last_wid;
-  if (tumbling_slide_ > 0) {
-    // Tumbling window: one id, one division.
-    first_wid = last_wid = LastWindowOf(e.time, window);
-  } else {
-    first_wid = FirstWindowOf(e.time, window);
-    last_wid = LastWindowOf(e.time, window);
-  }
+  WindowRange(s, e.time, &first_wid, &last_wid);
   int k = static_cast<int>(last_wid - first_wid + 1);
   GRETA_DCHECK(k >= 1 && k <= 64);
 
-  const int nq = kSingleQuery ? 1 : num_queries_;
-  GRETA_DCHECK(nq == num_queries_);
+  const int nq = kSingleQuery ? 1 : layout_[s].stride;
+  GRETA_DCHECK(nq == layout_[s].stride);
   scratch_cells_.assign(static_cast<size_t>(k) * nq, AggCell());
   AggCell* const cells = scratch_cells_.data();
   auto vcell = [&](WindowId wid) { return cells + (wid - first_wid) * nq; };
@@ -248,12 +381,21 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
   }
   if (!any_active) return true;
 
+  // kPartial plans are skip-till-any-match without negation (the planner
+  // rejects the rest), so that instantiation compiles the semantics,
+  // barrier, pruning and Case-3 tests out of the predecessor scan.
+  constexpr bool kAnyMatchOnly = K == PropKernel::kPartial;
+  // Follow links are the only source of inactive cells. Without them the
+  // predecessor test below skips the flag, which sits on the second cache
+  // line of an AggCell.
+  const bool check_active = !kAnyMatchOnly && !follow_links_.empty();
+  const bool skip_till_next =
+      !kAnyMatchOnly && exec_->semantics == Semantics::kSkipTillNextMatch;
+  const bool contiguous =
+      !kAnyMatchOnly && exec_->semantics == Semantics::kContiguous;
+
   bool is_start = plan_->templ.IsStart(s);
   bool found_pred = false;
-
-  const bool skip_till_next =
-      exec_->semantics == Semantics::kSkipTillNextMatch;
-  const bool contiguous = exec_->semantics == Semantics::kContiguous;
 
   for (StateId p : plan_->templ.pred_states(s)) {
     int t_idx = plan_->templ.FindTransition(p, s);
@@ -262,7 +404,8 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
 
     // Negation barriers per shared window (Cases 1 and 2).
     const bool has_barriers =
-        !transition_links_[t_idx].empty() || !graph_links_.empty();
+        !kAnyMatchOnly &&
+        (!transition_links_[t_idx].empty() || !graph_links_.empty());
     std::vector<Ts> barrier;
     if (has_barriers) {
       barrier.resize(k);
@@ -273,15 +416,16 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
 
     // Key range on the predecessor tree from the sort-key predicates.
     KeyBounds bounds = CombineTransitionBounds(tp, e);
+    const EdgeFold ef = EdgeFoldFor<K>(t_idx);
 
-    Ts lo_time = window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
+    Ts lo_time = WindowStartTime(first_wid, window);
     const bool can_prune = exec_->enable_pruning && single_window_ &&
                            has_barriers &&
                            plan_->templ.succ_states(p).size() == 1;
 
     panes_.ScanBucket(lo_time, e.time, static_cast<size_t>(p), bounds,
                       [&](GraphVertex* u) {
-      if (u->dead) return;
+      if (!kAnyMatchOnly && u->dead) return;
       if (u->time >= e.time) return;  // Strict trend order (Def. 1).
       if (contiguous && u->seq != last_seen_seq_) return;
       if (skip_till_next && ((u->used_transitions >> t_idx) & 1)) return;
@@ -295,38 +439,23 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
       if (lo_w > hi_w) return;
       bool contributed = false;
       bool barred_everywhere = has_barriers;
+      // The predecessor's own stride: a partial core vertex feeding a
+      // continuation state keeps more cells per window than the new vertex
+      // (a compile-time 1 in the kSingleQuery instantiations).
+      const int ustride = kSingleQuery ? 1 : u->stride;
       for (WindowId w = lo_w; w <= hi_w; ++w) {
         // Connectivity (active, count, barriers) is per (vertex, window) and
         // identical across query slots — only the propagated aggregates
         // differ, so the per-query loop sits inside the structural checks.
-        // (nq is a compile-time 1 in the kSingleQuery instantiations, so
-        // the stride arithmetic and the slot loops fold away.)
-        const AggCell* urow = u->cells + (w - u->first_wid) * nq;
+        const AggCell* urow = u->cells + (w - u->first_wid) * ustride;
         AggCell* vrow = vcell(w);
-        if (!urow->active || !vrow->active || urow->count.IsZero()) {
+        if ((check_active && (!urow->active || !vrow->active)) ||
+            urow->count.IsZero()) {
           barred_everywhere = false;
           continue;
         }
         if (has_barriers && u->time < barrier[w - first_wid]) continue;
-        if constexpr (K == PropKernel::kCountModular) {
-          // COUNT(*)-only, wrapping counters: a tight u64 add over the
-          // contiguous (window, query) cell span — no flag tests, no
-          // promotion checks (Counter::Add inlines to low_ += low_).
-          for (int q = 0; q < nq; ++q) {
-            vrow[q].count.Add(urow[q].count, CounterMode::kModular);
-          }
-        } else if constexpr (K == PropKernel::kCountExact) {
-          // COUNT(*)-only exact: same span add through the u64 fast path,
-          // promoting to BigUInt only at 64-bit overflow.
-          for (int q = 0; q < nq; ++q) {
-            vrow[q].count.Add(urow[q].count, CounterMode::kExact);
-          }
-        } else {
-          vrow[0].AddPredecessor(urow[0], AggAt(0));
-          for (int q = 1; q < nq; ++q) {
-            vrow[q].AddPredecessor(urow[q], AggAt(q));
-          }
-        }
+        FoldEdge<K>(urow, vrow, nq, ef);
         contributed = true;
         barred_everywhere = false;
         ++edges_;
@@ -346,195 +475,24 @@ bool GretaGraph::InsertAtState(const EventRef& e, StateId s) {
   if (!is_start && !found_pred) return true;  // Not inserted (Algorithm 2).
 
   for (int i = 0; i < k; ++i) {
-    for (int q = 0; q < nq; ++q) {
-      AggCell& cell = cells[static_cast<size_t>(i) * nq + q];
-      if (!cell.active) continue;
-      if constexpr (K == PropKernel::kCountModular) {
-        if (is_start) cell.count.AddOne(CounterMode::kModular);
-      } else if constexpr (K == PropKernel::kCountExact) {
-        if (is_start) cell.count.AddOne(CounterMode::kExact);
-      } else {
-        cell.FinishVertex(e, is_start, AggAt(q));
-      }
-    }
+    FinishRow<K>(cells + static_cast<size_t>(i) * nq, nq, e, s, is_start);
   }
 
   GraphVertex* stored =
       StoreVertex(e, s, first_wid, k, nq, scratch_cells_.data());
 
-  if (plan_->templ.IsEnd(s)) {
-    const bool incremental_final = graph_links_.empty();
-    for (int i = 0; i < k; ++i) {
-      const AggCell* row = stored->cells + static_cast<size_t>(i) * nq;
-      if (!row->active || row->count.IsZero()) continue;
-      WindowId wid = first_wid + i;
-      if (incremental_final) {
-        std::vector<AggOutputs>& out = *ResultsFor(wid);
-        if constexpr (K == PropKernel::kCountModular) {
-          for (int q = 0; q < nq; ++q) {
-            out[q].count.Add(row[q].count, CounterMode::kModular);
-            out[q].any = true;
-          }
-        } else if constexpr (K == PropKernel::kCountExact) {
-          for (int q = 0; q < nq; ++q) {
-            out[q].count.Add(row[q].count, CounterMode::kExact);
-            out[q].any = true;
-          }
-        } else {
-          for (int q = 0; q < nq; ++q) {
-            out[q].AccumulateEnd(row[q], AggAt(q));
-          }
-        }
-      }
-      if (out_link_ != nullptr) {
-        out_link_->ReportTrendEnd(wid, e.time, row->max_start);
-      }
+  if (layout_[s].is_end) {
+    if (graph_links_.empty()) {
+      // Incremental final aggregates (run_outs_ is free here: the batch
+      // kernels fall back to this path only before they fill it).
+      run_outs_.assign(static_cast<size_t>(k), nullptr);
+      AccumulateEndRow<K>(*stored, nq);
     }
-  }
-  return true;
-}
-
-bool GretaGraph::InsertAtStatePartial(const EventRef& e, StateId s) {
-  const PartialSharingPlan& partial = *exec_->partial;
-  const StatePlan& sp = plan_->states[s];
-  for (const Expr* pred : sp.local_preds) {
-    if (!pred->EvalVertex(e).Truthy()) return false;
-  }
-
-  // Core vertices span the cluster's union window range; a continuation
-  // vertex spans its owner's own range (same slide, so the same window-id
-  // grid — the per-query WITHIN only trims the front of the range).
-  const int owner = partial.state_owner[s];
-  const WindowSpec& window =
-      owner < 0 ? exec_->window : partial.windows[owner];
-  WindowId first_wid = FirstWindowOf(e.time, window);
-  WindowId last_wid = LastWindowOf(e.time, window);
-  int k = static_cast<int>(last_wid - first_wid + 1);
-  GRETA_DCHECK(k >= 1 && k <= 64);
-  const int stride =
-      owner < 0 ? static_cast<int>(partial.core_stride()) : 1;
-
-  const size_t num_folds = partial.fold_plans.size();
-
-  scratch_cells_.assign(static_cast<size_t>(k) * stride, AggCell());
-  AggCell* const cells = scratch_cells_.data();
-  auto vcell = [&](WindowId wid, size_t q = 0) {
-    return cells + (wid - first_wid) * stride + q;
-  };
-
-  // The merged start state is the shared Kleene core's start, shared by
-  // every query; continuation states are never starts.
-  const bool is_start = plan_->templ.IsStart(s);
-  bool found_pred = false;
-
-  for (StateId p : plan_->templ.pred_states(s)) {
-    int t_idx = plan_->templ.FindTransition(p, s);
-    GRETA_DCHECK(t_idx >= 0);
-    const TransitionPlan& tp = plan_->transitions[t_idx];
-    const int t_owner = partial.transition_owner[t_idx];
-    const int p_owner = partial.state_owner[p];
-
-    KeyBounds bounds = CombineTransitionBounds(tp, e);
-
-    Ts lo_time =
-        window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
-    panes_.ScanBucket(lo_time, e.time, static_cast<size_t>(p), bounds,
-                      [&](GraphVertex* u) {
-      if (u->time >= e.time) return;  // Strict trend order (Def. 1).
-      for (const Expr* pred : tp.residual_preds) {
-        if (!pred->EvalEdge(u->view(), e).Truthy()) return;
-      }
-      WindowId lo_w = std::max(first_wid, u->first_wid);
-      WindowId hi_w =
-          std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
-      if (lo_w > hi_w) return;
-      bool contributed = false;
-      if (t_owner < 0) {
-        // Core-internal edge: ONE snapshot propagation per window (the
-        // structural count every query reads), plus one fold per target.
-        for (WindowId w = lo_w; w <= hi_w; ++w) {
-          const AggCell* uc = u->cell(w);
-          if (uc->count.IsZero()) continue;
-          vcell(w)->count.Add(uc->count, exec_->mode);
-          for (size_t f = 0; f < num_folds; ++f) {
-            vcell(w, f)->AddPredecessorFold(uc[f], partial.fold_plans[f]);
-          }
-          contributed = true;
-          ++edges_;
-        }
-      } else {
-        // Query-owned edge (core hand-off or continuation-internal): only
-        // the owner's aggregates move.
-        const size_t q = static_cast<size_t>(t_owner);
-        const AggPlan& qagg = AggAt(q);
-        const int fold = partial.fold_slots[q];
-        for (WindowId w = lo_w; w <= hi_w; ++w) {
-          AggCell* vc = vcell(w);
-          const AggCell* uc = u->cell(w);
-          if (uc->count.IsZero()) continue;
-          if (p_owner < 0) {
-            // Hand-off: fold the shared snapshot into q's continuation.
-            vc->count.Add(uc->count, qagg.mode);
-            if (fold >= 0) vc->AddPredecessorFold(*u->cell(w, fold), qagg);
-          } else {
-            vc->AddPredecessor(*uc, qagg);
-          }
-          contributed = true;
-          ++edges_;
-        }
-      }
-      if (contributed) found_pred = true;
-    });
-  }
-
-  if (!is_start && !found_pred) return true;  // Not inserted (Algorithm 2).
-
-  if (owner < 0) {
-    for (int i = 0; i < k; ++i) {
-      AggCell* row = cells + static_cast<size_t>(i) * stride;
-      if (is_start) row[0].count.AddOne(exec_->mode);
-      for (size_t f = 0; f < num_folds; ++f) {
-        row[f].FinishVertexFold(e, row[0].count, partial.fold_plans[f]);
-      }
-    }
-  } else {
-    for (int i = 0; i < k; ++i) {
-      cells[i].FinishVertex(e, /*is_start=*/false, AggAt(owner));
-    }
-  }
-
-  GraphVertex* stored =
-      StoreVertex(e, s, first_wid, k, stride, scratch_cells_.data());
-
-  // Incremental final aggregates for every query whose END is this state,
-  // with one results lookup per window shared by all of them (run_outs_ is
-  // free here: the batch kernels fall back to this path only before they
-  // fill it).
-  run_outs_.assign(static_cast<size_t>(k), nullptr);
-  auto out_at = [&](int c) -> std::vector<AggOutputs>& {
-    if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(first_wid + c);
-    return *run_outs_[c];
-  };
-  const size_t nq = plan_->aggs.size();
-  for (size_t q = 0; q < nq; ++q) {
-    if (partial.end_states[q] != s) continue;
-    const AggPlan& qagg = AggAt(q);
-    if (owner < 0) {
-      // Core END (the query's whole pattern is the shared core): only the
-      // windows live under q's own WITHIN read the snapshot.
-      WindowId q_first = FirstWindowOf(e.time, partial.windows[q]);
-      const int fold = partial.fold_slots[q];
-      for (WindowId w = std::max(first_wid, q_first); w <= last_wid; ++w) {
-        const AggCell* snap = stored->cell(w);
-        if (snap->count.IsZero()) continue;
-        out_at(static_cast<int>(w - first_wid))[q].AccumulateEndShared(
-            snap->count, fold >= 0 ? snap + fold : nullptr, qagg);
-      }
-    } else {
+    if (out_link_ != nullptr) {
       for (int i = 0; i < k; ++i) {
-        const AggCell& cell = stored->cells[i];
-        if (cell.count.IsZero()) continue;
-        out_at(i)[q].AccumulateEnd(cell, qagg);
+        const AggCell* row = stored->cells + static_cast<size_t>(i) * nq;
+        if (!row->active || row->count.IsZero()) continue;
+        out_link_->ReportTrendEnd(first_wid + i, e.time, row->max_start);
       }
     }
   }
@@ -579,8 +537,8 @@ void GretaGraph::InsertBatch(const EventBatch& batch, const uint32_t* rows,
 
 bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
                                    Ts lo_time, Ts ts, size_t m,
-                                   bool lower_only, bool check_dead,
-                                   WindowId first_wid, WindowId last_wid) {
+                                   bool lower_only, WindowId first_wid,
+                                   WindowId last_wid) {
   const size_t nt = pred_states.size();
   run_entries_.clear();
   run_spans_.assign(1, 0);
@@ -619,7 +577,7 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
     panes_.ScanBucketWithKey(
         lo_time, ts, static_cast<size_t>(pred_states[t]), collect,
         [&](double key, GraphVertex* u) {
-          if (check_dead && u->dead) return;
+          if (u->dead) return;
           if (u->time >= ts) return;  // Strict trend order (Def. 1).
           if (std::isnan(key)) {
             nan_key = true;
@@ -650,27 +608,6 @@ template <PropKernel K>
 void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                                size_t n, Ts ts) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const WindowSpec& window = exec_->window;
-  WindowId first_wid, last_wid;
-  if (tumbling_slide_ > 0) {
-    first_wid = last_wid = LastWindowOf(ts, window);  // One division.
-  } else {
-    first_wid = FirstWindowOf(ts, window);
-    last_wid = LastWindowOf(ts, window);
-  }
-  const int k = static_cast<int>(last_wid - first_wid + 1);
-  GRETA_DCHECK(k >= 1 && k <= 64);
-  const Ts lo_time =
-      window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
-  const int nq = num_queries_;
-  const size_t cell_stride = static_cast<size_t>(k) * nq;
-
-  // last_seen_seq_ bookkeeping (contiguous semantics, unread on this path
-  // but kept exact): the newest run event passing local predicates at any
-  // state. Row indices ascend within a run, so a max over rows suffices.
-  uint32_t last_seen_row = 0;
-  bool any_seen = false;
-
   const size_t num_states = plan_->states.size();
   for (size_t si = 0; si < num_states; ++si) {
     const StateId s = static_cast<StateId>(si);
@@ -703,10 +640,15 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       run_sel_.resize(m);
     }
     if (m == 0) continue;
-    if (!any_seen || run_sel_.back() > last_seen_row) {
-      last_seen_row = run_sel_.back();
-      any_seen = true;
-    }
+
+    // One window-range division per (state, run).
+    WindowId first_wid, last_wid;
+    WindowRange(s, ts, &first_wid, &last_wid);
+    const int k = static_cast<int>(last_wid - first_wid + 1);
+    GRETA_DCHECK(k >= 1 && k <= 64);
+    const Ts lo_time = WindowStartTime(first_wid, *layout_[s].window);
+    const int nq = layout_[s].stride;
+    const size_t cell_stride = static_cast<size_t>(k) * nq;
 
     // Per-(transition, event) key bounds, and the run classification that
     // picks the strategy: `uniform` (every event resolves bitwise-identical
@@ -751,20 +693,23 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     // (valid for every kernel, including order-sensitive SUM: identical
     // entries in identical order, and copying the folded row is bitwise).
     // SuffixMerge re-associates additions across events, so it is reserved
-    // for order-insensitive aggregates (no SUM) with pure lower bounds.
-    // PerEvent replays the scalar kernel's exact op order per event over the
-    // shared collection and handles everything else.
+    // for order-insensitive aggregates (no SUM) with pure lower bounds, and
+    // never taken by kPartial (fold slots can carry SUM components, and a
+    // hand-off is not a plain cell add). PerEvent replays the scalar
+    // kernel's exact op order per event over the shared collection and
+    // handles everything else.
     BatchStrategy strat;
     if (!has_residuals && uniform) {
       strat = BatchStrategy::kSharedFold;
-    } else if (!has_residuals && lower_only && !any_sum_) {
+    } else if (K != PropKernel::kPartial && !has_residuals && lower_only &&
+               !any_sum_) {
       strat = BatchStrategy::kSuffixMerge;
     } else {
       strat = BatchStrategy::kPerEvent;
     }
 
     // NaN bounds — and NaN tree keys under the collection-based strategies —
-    // take the scalar kernel per (state, run): value-based re-filtering only
+    // take the row kernel per (state, run): value-based re-filtering only
     // agrees with the tree's positional scans on real keys. Correct at this
     // granularity because same-timestamp insertions commute under
     // skip-till-any-match. Collection happens before any fold, so the
@@ -772,8 +717,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     if (nan_bounds ||
         (strat != BatchStrategy::kSharedFold &&
          !CollectRunEntries(pred_states, lo_time, ts, m,
-                            strat == BatchStrategy::kSuffixMerge,
-                            /*check_dead=*/true, first_wid, last_wid))) {
+                            strat == BatchStrategy::kSuffixMerge, first_wid,
+                            last_wid))) {
       batch_fallback_rows_[static_cast<size_t>(
           BatchFallbackReason::kBounds)] += m;
       for (size_t i = 0; i < m; ++i) {
@@ -799,6 +744,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
         bounds.hi = run_hi_[t * m];
         bounds.lo_strict = run_lo_strict_[t * m] != 0;
         bounds.hi_strict = run_hi_strict_[t * m] != 0;
+        const EdgeFold ef = EdgeFoldFor<K>(run_tidx_[t]);
         panes_.ScanBucket(
             lo_time, ts, static_cast<size_t>(pred_states[t]), bounds,
             [&](GraphVertex* u) {
@@ -809,23 +755,10 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                   last_wid, u->first_wid + WindowId{u->num_wids} - 1);
               if (lo_w > hi_w) return;
               for (WindowId w = lo_w; w <= hi_w; ++w) {
-                const AggCell* urow =
-                    u->cells + (w - u->first_wid) * u->num_queries;
+                const AggCell* urow = u->cells + (w - u->first_wid) * u->stride;
                 if (urow->count.IsZero()) continue;
-                AggCell* arow = acc + static_cast<size_t>(w - first_wid) * nq;
-                if constexpr (K == PropKernel::kCountModular) {
-                  for (int q = 0; q < nq; ++q) {
-                    arow[q].count.Add(urow[q].count, CounterMode::kModular);
-                  }
-                } else if constexpr (K == PropKernel::kCountExact) {
-                  for (int q = 0; q < nq; ++q) {
-                    arow[q].count.Add(urow[q].count, CounterMode::kExact);
-                  }
-                } else {
-                  for (int q = 0; q < nq; ++q) {
-                    arow[q].AddPredecessor(urow[q], AggAt(q));
-                  }
-                }
+                FoldEdge<K>(urow, acc + static_cast<size_t>(w - first_wid) * nq,
+                            nq, ef);
                 any_entry = true;
                 ++shared_edges;
               }
@@ -872,11 +805,9 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                     return strict_col[a] > strict_col[b];
                   });
 
-        if constexpr (K == PropKernel::kGeneric) {
-          run_acc_.assign(cell_stride, AggCell());
-        } else {
-          run_running_.assign(cell_stride, Counter());
-        }
+        run_acc_.assign(cell_stride, AggCell());
+        AggCell* const acc = run_acc_.data();
+        const EdgeFold ef = EdgeFoldFor<K>(run_tidx_[t]);
         size_t ei = end;  // Entries [ei, end) are consumed.
         for (size_t r = 0; r < m; ++r) {
           const uint32_t i = run_order_[r];
@@ -891,25 +822,10 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
             WindowId hi_w =
                 std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
             for (WindowId w = lo_w; w <= hi_w; ++w) {
-              const AggCell* urow =
-                  u->cells + (w - u->first_wid) * u->num_queries;
+              const AggCell* urow = u->cells + (w - u->first_wid) * u->stride;
               if (urow->count.IsZero()) continue;
-              const size_t off = static_cast<size_t>(w - first_wid) * nq;
-              if constexpr (K == PropKernel::kCountModular) {
-                for (int q = 0; q < nq; ++q) {
-                  run_running_[off + q].Add(urow[q].count,
-                                            CounterMode::kModular);
-                }
-              } else if constexpr (K == PropKernel::kCountExact) {
-                for (int q = 0; q < nq; ++q) {
-                  run_running_[off + q].Add(urow[q].count,
-                                            CounterMode::kExact);
-                }
-              } else {
-                for (int q = 0; q < nq; ++q) {
-                  run_acc_[off + q].AddPredecessor(urow[q], AggAt(q));
-                }
-              }
+              FoldEdge<K>(urow, acc + static_cast<size_t>(w - first_wid) * nq,
+                          nq, ef);
               // This entry is admitted by every event of rank >= r (their
               // lo bounds only weaken), i.e. it accounts for (m - r) edges.
               edges_ += m - r;
@@ -918,19 +834,9 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
           if (ei == end) continue;  // Nothing admitted yet.
           run_found_[i] = 1;
           AggCell* vrow = run_cells_.data() + static_cast<size_t>(i) * cell_stride;
-          if constexpr (K == PropKernel::kCountModular) {
-            for (size_t c = 0; c < cell_stride; ++c) {
-              vrow[c].count.Add(run_running_[c], CounterMode::kModular);
-            }
-          } else if constexpr (K == PropKernel::kCountExact) {
-            for (size_t c = 0; c < cell_stride; ++c) {
-              vrow[c].count.Add(run_running_[c], CounterMode::kExact);
-            }
-          } else {
-            for (size_t c = 0; c < cell_stride; ++c) {
-              vrow[c].AddPredecessor(run_acc_[c],
-                                     AggAt(c % static_cast<size_t>(nq)));
-            }
+          for (int c = 0; c < k; ++c) {
+            FoldEdge<K>(acc + static_cast<size_t>(c) * nq,
+                        vrow + static_cast<size_t>(c) * nq, nq, ef);
           }
         }
       }
@@ -993,9 +899,9 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
           const double hi = run_hi_[at];
           const bool lo_strict = run_lo_strict_[at] != 0;
           const bool hi_strict = run_hi_strict_[at] != 0;
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
+          const CompiledEdgeFilter& filter = edge_filters_[run_tidx_[t]];
           if constexpr (K == PropKernel::kCountModular) {
-            if (fuse_counts && ef.trivial()) {
+            if (fuse_counts && filter.trivial()) {
               const simd::MaskedSum ms = kd.masked_count_sum(
                   run_keys_.data(), run_counts_.data(),
                   static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
@@ -1025,38 +931,26 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
             }
             cnt = run_filtered_.size();
           }
-          if (cnt != 0 && !ef.trivial()) {
+          if (cnt != 0 && !filter.trivial()) {
             cnt = batch_simd_ && run_prev_built_[t] != 0
-                      ? ef.Filter(e_view, run_views_.data(),
-                                  run_prev_cols_[t],
-                                  static_cast<uint32_t>(begin),
-                                  run_filtered_.data(), cnt)
-                      : ef.Filter(e_view, run_views_.data(),
-                                  run_filtered_.data(), cnt);
+                      ? filter.Filter(e_view, run_views_.data(),
+                                      run_prev_cols_[t],
+                                      static_cast<uint32_t>(begin),
+                                      run_filtered_.data(), cnt)
+                      : filter.Filter(e_view, run_views_.data(),
+                                      run_filtered_.data(), cnt);
           }
+          const EdgeFold ef = EdgeFoldFor<K>(run_tidx_[t]);
           for (size_t fj = 0; fj < cnt; ++fj) {
             const GraphVertex* u = run_entries_[run_filtered_[fj]].u;
             WindowId lo_w = std::max(first_wid, u->first_wid);
             WindowId hi_w =
                 std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
             for (WindowId w = lo_w; w <= hi_w; ++w) {
-              const AggCell* urow =
-                  u->cells + (w - u->first_wid) * u->num_queries;
+              const AggCell* urow = u->cells + (w - u->first_wid) * u->stride;
               if (urow->count.IsZero()) continue;
-              AggCell* vw = vrow + static_cast<size_t>(w - first_wid) * nq;
-              if constexpr (K == PropKernel::kCountModular) {
-                for (int q = 0; q < nq; ++q) {
-                  vw[q].count.Add(urow[q].count, CounterMode::kModular);
-                }
-              } else if constexpr (K == PropKernel::kCountExact) {
-                for (int q = 0; q < nq; ++q) {
-                  vw[q].count.Add(urow[q].count, CounterMode::kExact);
-                }
-              } else {
-                for (int q = 0; q < nq; ++q) {
-                  vw[q].AddPredecessor(urow[q], AggAt(q));
-                }
-              }
+              FoldEdge<K>(urow, vrow + static_cast<size_t>(w - first_wid) * nq,
+                          nq, ef);
               found = true;
               ++edges_;
             }
@@ -1082,394 +976,18 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                         sp.stored_attr_count * sizeof(Value) +
                         alignof(std::max_align_t)));
 
-    const bool is_end = plan_->templ.IsEnd(s);
     run_outs_.assign(static_cast<size_t>(k), nullptr);
     for (size_t i = 0; i < m; ++i) {
       if (!is_start && !run_found_[i]) continue;
       AggCell* vrow = run_cells_.data() + i * cell_stride;
       const EventRef e = batch.ref(run_sel_[i]);
       for (int c = 0; c < k; ++c) {
-        AggCell* wrow = vrow + static_cast<size_t>(c) * nq;
-        if constexpr (K == PropKernel::kCountModular) {
-          if (is_start) {
-            for (int q = 0; q < nq; ++q) {
-              wrow[q].count.AddOne(CounterMode::kModular);
-            }
-          }
-        } else if constexpr (K == PropKernel::kCountExact) {
-          if (is_start) {
-            for (int q = 0; q < nq; ++q) {
-              wrow[q].count.AddOne(CounterMode::kExact);
-            }
-          }
-        } else {
-          for (int q = 0; q < nq; ++q) {
-            wrow[q].FinishVertex(e, is_start, AggAt(q));
-          }
-        }
+        FinishRow<K>(vrow + static_cast<size_t>(c) * nq, nq, e, s, is_start);
       }
       GraphVertex* stored = StoreVertex(e, s, first_wid, k, nq, vrow);
-      if (is_end) {
-        for (int c = 0; c < k; ++c) {
-          const AggCell* row = stored->cells + static_cast<size_t>(c) * nq;
-          if (row->count.IsZero()) continue;
-          if (run_outs_[c] == nullptr) {
-            run_outs_[c] = ResultsFor(first_wid + c);
-          }
-          std::vector<AggOutputs>& out = *run_outs_[c];
-          if constexpr (K == PropKernel::kCountModular) {
-            for (int q = 0; q < nq; ++q) {
-              out[q].count.Add(row[q].count, CounterMode::kModular);
-              out[q].any = true;
-            }
-          } else if constexpr (K == PropKernel::kCountExact) {
-            for (int q = 0; q < nq; ++q) {
-              out[q].count.Add(row[q].count, CounterMode::kExact);
-              out[q].any = true;
-            }
-          } else {
-            for (int q = 0; q < nq; ++q) {
-              out[q].AccumulateEnd(row[q], AggAt(q));
-            }
-          }
-        }
-      }
+      if (layout_[s].is_end) AccumulateEndRow<K>(*stored, nq);
     }
   }
-
-  if (any_seen) last_seen_seq_ = batch.seq(last_seen_row);
-}
-
-void GretaGraph::InsertRunFastPartial(const EventBatch& batch,
-                                      const uint32_t* rows, size_t n, Ts ts) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const PartialSharingPlan& partial = *exec_->partial;
-  const size_t num_folds = partial.fold_plans.size();
-
-  uint32_t last_seen_row = 0;
-  bool any_seen = false;
-
-  const size_t num_states = plan_->states.size();
-  for (size_t si = 0; si < num_states; ++si) {
-    const StateId s = static_cast<StateId>(si);
-    const StatePlan& sp = plan_->states[si];
-
-    run_sel_.clear();
-    size_t m;
-    if (group_proj_ready_) {
-      // Select by consecutive projection lane, filter through the vector
-      // kernels, then map surviving positions back to batch rows.
-      run_pos_.clear();
-      for (size_t r = 0; r < n; ++r) {
-        if (batch.type(rows[r]) == sp.type) {
-          run_pos_.push_back(static_cast<uint32_t>(run_base_ + r));
-        }
-      }
-      if (run_pos_.empty()) continue;
-      m = state_filters_[si].Filter(batch, group_proj_, group_rows_,
-                                    run_pos_.data(), run_pos_.size());
-      run_sel_.resize(m);
-      for (size_t k = 0; k < m; ++k) run_sel_[k] = group_rows_[run_pos_[k]];
-    } else {
-      for (size_t r = 0; r < n; ++r) {
-        if (batch.type(rows[r]) == sp.type) run_sel_.push_back(rows[r]);
-      }
-      if (run_sel_.empty()) continue;
-      m = state_filters_[si].Filter(batch, run_sel_.data(), run_sel_.size());
-      run_sel_.resize(m);
-    }
-    if (m == 0) continue;
-    if (!any_seen || run_sel_.back() > last_seen_row) {
-      last_seen_row = run_sel_.back();
-      any_seen = true;
-    }
-
-    // Core vertices span the cluster's union window range; a continuation
-    // vertex spans its owner's own range (see InsertAtStatePartial).
-    const int owner = partial.state_owner[s];
-    const WindowSpec& window =
-        owner < 0 ? exec_->window : partial.windows[owner];
-    const WindowId first_wid = FirstWindowOf(ts, window);
-    const WindowId last_wid = LastWindowOf(ts, window);
-    const int k = static_cast<int>(last_wid - first_wid + 1);
-    GRETA_DCHECK(k >= 1 && k <= 64);
-    const Ts lo_time =
-        window.unbounded() ? kMinTs : WindowStartTime(first_wid, window);
-    const int stride =
-        owner < 0 ? static_cast<int>(partial.core_stride()) : 1;
-    const size_t cell_stride = static_cast<size_t>(k) * stride;
-
-    const std::vector<StateId>& pred_states = plan_->templ.pred_states(s);
-    const size_t nt = pred_states.size();
-    run_tidx_.resize(nt);
-    run_lo_.assign(nt * m, -kInf);
-    run_hi_.assign(nt * m, kInf);
-    run_lo_strict_.assign(nt * m, 0);
-    run_hi_strict_.assign(nt * m, 0);
-    bool has_residuals = false;
-    bool nan_bounds = false;
-    bool uniform = true;
-    for (size_t t = 0; t < nt && !nan_bounds; ++t) {
-      int t_idx = plan_->templ.FindTransition(pred_states[t], s);
-      GRETA_DCHECK(t_idx >= 0);
-      run_tidx_[t] = t_idx;
-      const TransitionPlan& tp = plan_->transitions[t_idx];
-      has_residuals |= !tp.residual_preds.empty();
-      for (size_t i = 0; i < m; ++i) {
-        KeyBounds b = CombineTransitionBounds(tp, batch.view(run_sel_[i]));
-        if (std::isnan(b.lo) || std::isnan(b.hi)) {
-          nan_bounds = true;
-          break;
-        }
-        const size_t at = t * m + i;
-        run_lo_[at] = b.lo;
-        run_hi_[at] = b.hi;
-        run_lo_strict_[at] = b.lo_strict ? 1 : 0;
-        run_hi_strict_[at] = b.hi_strict ? 1 : 0;
-        uniform &= b.lo == run_lo_[t * m] && b.hi == run_hi_[t * m] &&
-                   run_lo_strict_[at] == run_lo_strict_[t * m] &&
-                   run_hi_strict_[at] == run_hi_strict_[t * m];
-      }
-    }
-
-    // The suffix merge is unavailable here — fold slots can carry
-    // order-sensitive SUM components — so the ladder is SharedFold (uniform
-    // bounds, no residuals) or the per-event fold.
-    const BatchStrategy strat = !has_residuals && uniform
-                                    ? BatchStrategy::kSharedFold
-                                    : BatchStrategy::kPerEvent;
-
-    if (nan_bounds ||
-        (strat == BatchStrategy::kPerEvent &&
-         !CollectRunEntries(pred_states, lo_time, ts, m, /*lower_only=*/false,
-                            /*check_dead=*/false, first_wid, last_wid))) {
-      batch_fallback_rows_[static_cast<size_t>(
-          BatchFallbackReason::kBounds)] += m;
-      for (size_t i = 0; i < m; ++i) {
-        (this->*insert_fn_)(batch.ref(run_sel_[i]), s);
-      }
-      continue;
-    }
-
-    run_cells_.assign(m * cell_stride, AggCell());
-    run_found_.assign(m, 0);
-    const bool is_start = plan_->templ.IsStart(s);
-
-    // One edge fold, shared by both strategies: mirrors the per-ownership
-    // branches of InsertAtStatePartial exactly. Returns whether the window
-    // contributed.
-    auto fold_edge = [&](size_t t, const GraphVertex* u, WindowId w,
-                         AggCell* dst_row) -> bool {
-      const AggCell* uc = u->cell(w);
-      if (uc->count.IsZero()) return false;
-      const int t_owner = partial.transition_owner[run_tidx_[t]];
-      if (t_owner < 0) {
-        // Core-internal edge: ONE snapshot propagation (the structural count
-        // every query reads), plus one fold per target.
-        dst_row[0].count.Add(uc->count, exec_->mode);
-        for (size_t f = 0; f < num_folds; ++f) {
-          dst_row[f].AddPredecessorFold(uc[f], partial.fold_plans[f]);
-        }
-      } else {
-        // Query-owned edge (core hand-off or continuation-internal): only
-        // the owner's aggregates move.
-        const size_t q = static_cast<size_t>(t_owner);
-        const AggPlan& qagg = AggAt(q);
-        const int fold = partial.fold_slots[q];
-        if (partial.state_owner[pred_states[t]] < 0) {
-          dst_row[0].count.Add(uc->count, qagg.mode);
-          if (fold >= 0) dst_row[0].AddPredecessorFold(uc[fold], qagg);
-        } else {
-          dst_row[0].AddPredecessor(*uc, qagg);
-        }
-      }
-      return true;
-    };
-
-    if (strat == BatchStrategy::kSharedFold) {
-      run_acc_.assign(cell_stride, AggCell());
-      bool any_entry = false;
-      size_t shared_edges = 0;
-      for (size_t t = 0; t < nt; ++t) {
-        KeyBounds bounds;
-        bounds.lo = run_lo_[t * m];
-        bounds.hi = run_hi_[t * m];
-        bounds.lo_strict = run_lo_strict_[t * m] != 0;
-        bounds.hi_strict = run_hi_strict_[t * m] != 0;
-        panes_.ScanBucket(
-            lo_time, ts, static_cast<size_t>(pred_states[t]), bounds,
-            [&](GraphVertex* u) {
-              if (u->time >= ts) return;  // Strict trend order (Def. 1).
-              WindowId lo_w = std::max(first_wid, u->first_wid);
-              WindowId hi_w = std::min(
-                  last_wid, u->first_wid + WindowId{u->num_wids} - 1);
-              if (lo_w > hi_w) return;
-              for (WindowId w = lo_w; w <= hi_w; ++w) {
-                AggCell* arow =
-                    run_acc_.data() + static_cast<size_t>(w - first_wid) * stride;
-                if (fold_edge(t, u, w, arow)) {
-                  any_entry = true;
-                  ++shared_edges;
-                }
-              }
-            });
-      }
-      edges_ += shared_edges * m;
-      if (any_entry) {
-        for (size_t i = 0; i < m; ++i) {
-          run_found_[i] = 1;
-          AggCell* vrow = run_cells_.data() + i * cell_stride;
-          for (size_t c = 0; c < cell_stride; ++c) vrow[c] = run_acc_[c];
-        }
-      }
-    } else {
-      // Same SIMD lanes as InsertRunFast's per-event strategy (no fused
-      // count fold here — snapshot cells interleave with per-query folds).
-      const simd::Kernels& kd = simd::Dispatch();
-      if (batch_simd_) {
-        const size_t num_entries = run_entries_.size();
-        run_keys_.resize(num_entries);
-        for (size_t j = 0; j < num_entries; ++j) {
-          run_keys_[j] = run_entries_[j].key;
-        }
-        run_prev_built_.assign(nt, 0);
-        run_prev_cols_.resize(nt);
-        for (size_t t = 0; t < nt; ++t) {
-          const size_t begin = run_spans_[t];
-          const size_t end = run_spans_[t + 1];
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
-          if (begin != end && ef.has_fast()) {
-            ef.BuildPrevColumns(run_views_.data() + begin, end - begin,
-                                &run_prev_cols_[t]);
-            run_prev_built_[t] = 1;
-          }
-        }
-      }
-      for (size_t i = 0; i < m; ++i) {
-        const EventView e_view = batch.view(run_sel_[i]);
-        AggCell* vrow = run_cells_.data() + i * cell_stride;
-        bool found = false;
-        for (size_t t = 0; t < nt; ++t) {
-          const size_t begin = run_spans_[t];
-          const size_t end = run_spans_[t + 1];
-          if (begin == end) continue;
-          const size_t at = t * m + i;
-          const double lo = run_lo_[at];
-          const double hi = run_hi_[at];
-          const bool lo_strict = run_lo_strict_[at] != 0;
-          const bool hi_strict = run_hi_strict_[at] != 0;
-          size_t cnt;
-          if (batch_simd_) {
-            run_filtered_.resize(end - begin);
-            cnt = kd.range_select(
-                run_keys_.data(), static_cast<uint32_t>(begin),
-                static_cast<uint32_t>(end), lo, lo_strict, hi, hi_strict,
-                run_filtered_.data());
-          } else {
-            run_filtered_.clear();
-            for (size_t j = begin; j < end; ++j) {
-              const double key = run_entries_[j].key;
-              if (lo_strict ? key <= lo : key < lo) continue;
-              if (hi_strict ? key >= hi : key > hi) continue;
-              run_filtered_.push_back(static_cast<uint32_t>(j));
-            }
-            cnt = run_filtered_.size();
-          }
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
-          if (cnt != 0 && !ef.trivial()) {
-            cnt = batch_simd_ && run_prev_built_[t] != 0
-                      ? ef.Filter(e_view, run_views_.data(),
-                                  run_prev_cols_[t],
-                                  static_cast<uint32_t>(begin),
-                                  run_filtered_.data(), cnt)
-                      : ef.Filter(e_view, run_views_.data(),
-                                  run_filtered_.data(), cnt);
-          }
-          for (size_t fj = 0; fj < cnt; ++fj) {
-            const GraphVertex* u = run_entries_[run_filtered_[fj]].u;
-            WindowId lo_w = std::max(first_wid, u->first_wid);
-            WindowId hi_w =
-                std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
-            for (WindowId w = lo_w; w <= hi_w; ++w) {
-              AggCell* vw = vrow + static_cast<size_t>(w - first_wid) * stride;
-              if (fold_edge(t, u, w, vw)) {
-                found = true;
-                ++edges_;
-              }
-            }
-          }
-        }
-        run_found_[i] = found ? 1 : 0;
-      }
-    }
-    batch_strategy_rows_[static_cast<size_t>(strat)] += m;
-    if (batch_simd_) simd_rows_ += m;
-
-    size_t stored_count = 0;
-    if (is_start) {
-      stored_count = m;
-    } else {
-      for (size_t i = 0; i < m; ++i) stored_count += run_found_[i];
-    }
-    if (stored_count == 0) continue;
-    panes_.ArenaFor(ts)->Reserve(
-        stored_count * (cell_stride * sizeof(AggCell) +
-                        sp.stored_attr_count * sizeof(Value) +
-                        alignof(std::max_align_t)));
-
-    const size_t nq_total = plan_->aggs.size();
-    run_outs_.assign(static_cast<size_t>(k), nullptr);
-    for (size_t i = 0; i < m; ++i) {
-      if (!is_start && !run_found_[i]) continue;
-      AggCell* vrow = run_cells_.data() + i * cell_stride;
-      const EventRef e = batch.ref(run_sel_[i]);
-      if (owner < 0) {
-        for (int c = 0; c < k; ++c) {
-          AggCell* wrow = vrow + static_cast<size_t>(c) * stride;
-          if (is_start) wrow[0].count.AddOne(exec_->mode);
-          for (size_t f = 0; f < num_folds; ++f) {
-            wrow[f].FinishVertexFold(e, wrow[0].count,
-                                     partial.fold_plans[f]);
-          }
-        }
-      } else {
-        for (int c = 0; c < k; ++c) {
-          vrow[c].FinishVertex(e, /*is_start=*/false, AggAt(owner));
-        }
-      }
-      GraphVertex* stored = StoreVertex(e, s, first_wid, k, stride, vrow);
-
-      // Incremental final aggregates for every query whose END is this
-      // state (mirrors InsertAtStatePartial).
-      for (size_t q = 0; q < nq_total; ++q) {
-        if (partial.end_states[q] != s) continue;
-        const AggPlan& qagg = AggAt(q);
-        if (owner < 0) {
-          WindowId q_first = FirstWindowOf(ts, partial.windows[q]);
-          const int fold = partial.fold_slots[q];
-          for (WindowId w = std::max(first_wid, q_first); w <= last_wid; ++w) {
-            const AggCell* snap = stored->cell(w);
-            if (snap->count.IsZero()) continue;
-            const size_t c = static_cast<size_t>(w - first_wid);
-            if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(w);
-            (*run_outs_[c])[q].AccumulateEndShared(
-                snap->count, fold >= 0 ? snap + fold : nullptr, qagg);
-          }
-        } else {
-          for (int c = 0; c < k; ++c) {
-            const AggCell& cell = stored->cells[c];
-            if (cell.count.IsZero()) continue;
-            if (run_outs_[c] == nullptr) {
-              run_outs_[c] = ResultsFor(first_wid + c);
-            }
-            (*run_outs_[c])[q].AccumulateEnd(cell, qagg);
-          }
-        }
-      }
-    }
-  }
-
-  if (any_seen) last_seen_seq_ = batch.seq(last_seen_row);
 }
 
 void GretaGraph::CollectWindow(WindowId wid, size_t q, AggOutputs* out) {

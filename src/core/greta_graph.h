@@ -23,10 +23,12 @@ namespace greta {
 /// The vertex is a single flat struct with zero per-vertex heap
 /// allocations: both side arrays live in the owning pane's arena and are
 /// freed wholesale when the pane expires (Section 7 batch deletion).
-///  - `cells` — the aggregate cells, laid out row-major by window, one
-///    AggCell per (window, query) under multi-query shared execution
-///    (src/sharing/). num_queries == 1 reproduces the single-query layout
-///    bit for bit.
+///  - `cells` — the aggregate cells, laid out row-major by window, `stride`
+///    cells per window: one per query slot under multi-query shared
+///    execution (src/sharing/), where stride == 1 reproduces the
+///    single-query layout bit for bit; under partial sharing
+///    PartialSharingPlan::core_stride() fold-slot cells on a shared-core
+///    vertex and a single cell on a per-query continuation vertex.
 ///  - `attrs` — the stored-event payload: instead of a full Event copy the
 ///    vertex keeps time/seq plus only the leading attribute values scan-time
 ///    residual edge predicates read (StatePlan::stored_attr_count; zero for
@@ -43,9 +45,9 @@ struct GraphVertex {
   uint64_t used_transitions = 0;  // skip-till-next-match bookkeeping
   WindowId first_wid = 0;
   StateId state = kInvalidState;
-  int32_t num_cells = 0;  // num_wids * num_queries
+  int32_t num_cells = 0;  // num_wids * stride
   int16_t num_wids = 0;
-  int16_t num_queries = 1;
+  int16_t stride = 1;  // cells per window
   uint16_t num_attrs = 0;
   bool dead = false;  // tombstone (invalid event pruning)
 
@@ -65,7 +67,7 @@ struct GraphVertex {
       state = other.state;
       num_cells = other.num_cells;
       num_wids = other.num_wids;
-      num_queries = other.num_queries;
+      stride = other.stride;
       num_attrs = other.num_attrs;
       dead = other.dead;
       other.cells = nullptr;
@@ -82,10 +84,10 @@ struct GraphVertex {
     return wid >= first_wid && wid < first_wid + num_wids;
   }
   AggCell* cell(WindowId wid, size_t q = 0) {
-    return &cells[(wid - first_wid) * num_queries + q];
+    return &cells[(wid - first_wid) * stride + q];
   }
   const AggCell* cell(WindowId wid, size_t q = 0) const {
-    return &cells[(wid - first_wid) * num_queries + q];
+    return &cells[(wid - first_wid) * stride + q];
   }
 
  private:
@@ -101,7 +103,9 @@ struct GraphVertex {
 ///
 /// The per-event insert path is compiled once per graph into one of the
 /// PropKernel variants (plan_->kernel; src/core/README.md) instead of
-/// re-testing AggPlan flags per edge per window per query. Memory
+/// re-testing AggPlan flags per edge per window per query. There is one row
+/// kernel (InsertAtState) and one run kernel (InsertRunFast); partial
+/// sharing is the kPartial instantiation of both. Memory
 /// accounting is incremental: the pane store charges the shared
 /// MemoryTracker at its allocation sites, so inserts never walk cells.
 class GretaGraph {
@@ -208,28 +212,64 @@ class GretaGraph {
   }
 
  private:
-  // The propagation kernels: InsertAtState specialized on plan_->kernel and
-  // on the dominant single-query layout (kSingleQuery folds the per-slot
-  // loop and the cell-stride arithmetic away). Every structural decision is
+  // The row kernel: InsertAtState specialized on plan_->kernel and on the
+  // dominant single-query layout (kSingleQuery folds the per-slot loop and
+  // the cell-stride arithmetic away). Every structural decision is
   // identical across instantiations — only the aggregate ops differ — so
-  // results are bit-identical by construction.
+  // results are bit-identical by construction. Partial sharing
+  // (kPartial) walks the merged template the same way; negation, pruning
+  // and the restricted semantics never reach it (the planner rejects them
+  // for partial clusters).
   template <PropKernel K, bool kSingleQuery>
   bool InsertAtState(const EventRef& e, StateId s);
 
-  // Partial sharing (ExecPlan::partial): insertion over a merged template.
-  // Shared-core vertices carry one cell per aggregate target per window
-  // (PartialSharingPlan::fold_plans), slot 0 also holding the structural
-  // trend count every query reads; per-query continuation vertices
-  // carry a single full cell laid out over the owning query's own window
-  // range. Negation, pruning and the restricted semantics never reach this
-  // path (the planner rejects them for partial clusters).
-  bool InsertAtStatePartial(const EventRef& e, StateId s);
+  // Points insert_fn_ (and insert_run_fn_, when batch_plan_ok_) at the
+  // kernel-K instantiations.
+  template <PropKernel K>
+  void BindKernels();
 
-  // Moves `src_cells` (k*nq scratch cells) and the stored attribute prefix
-  // of `e` into the arena of the pane covering e.time and inserts the
-  // assembled vertex.
+  // What one transition's edges move under kPartial, resolved once per
+  // transition (EdgeFoldFor) so the per-edge fold reads locals; empty for
+  // the other kernels. agg == null marks a core-internal edge.
+  struct EdgeFold {
+    const AggPlan* folds = nullptr;  // core edge: the fold slots' plans
+    size_t num_folds = 0;
+    CounterMode mode = CounterMode::kExact;  // core edge: snapshot mode
+    const AggPlan* agg = nullptr;  // query-owned edge: the owner's plan
+    int fold = -1;                 // hand-off: the owner's fold slot
+    bool hand_off = false;         // query-owned edge leaving the core
+  };
+  template <PropKernel K>
+  EdgeFold EdgeFoldFor(int t_idx) const;
+
+  // The three kernel-switched steps both kernels share. FoldEdge adds one
+  // predecessor row `urow` (one window of u, read through u's own stride)
+  // into the `nq` cells `dst` along a transition described by `ef`; under
+  // kPartial a core edge moves the snapshot count plus one fold per
+  // aggregate target, a hand-off folds the snapshot into the owner's
+  // continuation cell, and a continuation edge moves the owner's full
+  // cell. FinishRow applies a new vertex's own contribution to one window
+  // row. AccumulateEndRow adds END vertex `v` into the incremental results
+  // through run_outs_ (sized to v's windows and cleared by the caller);
+  // under kPartial it serves every query whose END is v's state, trimmed to
+  // the query's own WITHIN.
+  template <PropKernel K>
+  void FoldEdge(const AggCell* urow, AggCell* dst, int nq,
+                const EdgeFold& ef) const;
+  template <PropKernel K>
+  void FinishRow(AggCell* row, int nq, const EventRef& e, StateId s,
+                 bool is_start) const;
+  template <PropKernel K>
+  void AccumulateEndRow(const GraphVertex& v, int nq);
+
+  // Window ids [first, last] an event at `t` falls into at state `s`.
+  void WindowRange(StateId s, Ts t, WindowId* first, WindowId* last) const;
+
+  // Moves `src_cells` (k*stride scratch cells) and the stored attribute
+  // prefix of `e` into the arena of the pane covering e.time and inserts
+  // the assembled vertex.
   GraphVertex* StoreVertex(const EventRef& e, StateId s, WindowId first_wid,
-                           int k, int nq, AggCell* src_cells);
+                           int k, int stride, AggCell* src_cells);
 
   // Batch fast path: true when every structural precondition holds for this
   // call (the plan-level part is precomputed in the constructor; negation
@@ -239,33 +279,27 @@ class GretaGraph {
            follow_links_.empty() && out_link_ == nullptr;
   }
 
-  // One equal-timestamp run of batch rows through the amortized kernel
-  // family, instantiated per PropKernel like the scalar path. Strategy is
-  // chosen per (state, run) from the resolved key bounds and the plan's
-  // residual predicates; NaN bounds/keys fall back to the scalar kernel per
-  // (state, run), which is correct at that granularity because
-  // same-timestamp insertions commute under skip-till-any-match.
+  // The run kernel: one equal-timestamp run of batch rows through the
+  // amortized kernel family, instantiated per PropKernel like the row
+  // kernel. Strategy is chosen per (state, run) from the resolved key
+  // bounds and the plan's residual predicates (kPartial never takes the
+  // suffix merge); NaN bounds/keys fall back to the row kernel per (state,
+  // run), which is correct at that granularity because same-timestamp
+  // insertions commute under skip-till-any-match.
   template <PropKernel K>
   void InsertRunFast(const EventBatch& batch, const uint32_t* rows, size_t n,
                      Ts ts);
-
-  // The partial-sharing batch kernel: builds one structural snapshot cell
-  // per (vertex, window) for a whole run (shared fold under uniform bounds,
-  // per-event fold otherwise — the suffix merge is unavailable because fold
-  // slots can carry order-sensitive SUM components).
-  void InsertRunFastPartial(const EventBatch& batch, const uint32_t* rows,
-                            size_t n, Ts ts);
 
   // Collects one predecessor-entry span per transition for a run: the
   // weakest bounds over the run's events, entries in pane-major ascending
   // key order (the scalar scan's order). Returns false when a NaN tree key
   // was seen — per-pane positional scans and value-based re-filtering only
-  // agree on real keys, so such runs take the scalar kernel. `lo_time` is
+  // agree on real keys, so such runs take the row kernel. `lo_time` is
   // the scan floor; spans are recorded in run_spans_ (nt + 1 offsets) and
   // entry views (for residual evaluation) in run_views_.
   bool CollectRunEntries(const std::vector<StateId>& pred_states, Ts lo_time,
-                         Ts ts, size_t m, bool lower_only, bool check_dead,
-                         WindowId first_wid, WindowId last_wid);
+                         Ts ts, size_t m, bool lower_only, WindowId first_wid,
+                         WindowId last_wid);
 
   // Aggregate plan of query slot `q` (plans predating the multi-query
   // extension may leave GraphPlan::aggs empty; they have exactly one slot).
@@ -277,7 +311,8 @@ class GretaGraph {
 
   const GraphPlan* plan_;
   const ExecPlan* exec_;
-  int num_queries_;  // query slots per (vertex, window): plan_->aggs.size()
+  const PartialSharingPlan* partial_;  // exec_->partial, or null
+  int num_queries_;  // query slots: plan_->aggs.size()
   PaneStore<GraphVertex> panes_;
   bool (GretaGraph::*insert_fn_)(const EventRef&, StateId);  // dispatch
   // Batch run-kernel dispatch, resolved alongside insert_fn_ (null when the
@@ -297,7 +332,15 @@ class GretaGraph {
   size_t edges_ = 0;
   size_t total_vertices_ = 0;
   bool single_window_;  // enables eager invalid-event pruning
-  Ts tumbling_slide_ = 0;  // within == slide: window ids need one division
+  // Per-state cell layout (constructor): the window a vertex spans, its
+  // cells per window, and whether inserting there feeds final results.
+  struct StateLayout {
+    const WindowSpec* window = nullptr;
+    bool tumbling = false;  // within == slide: window ids need one division
+    int stride = 1;
+    bool is_end = false;  // END of the pattern (partial: of any query)
+  };
+  std::vector<StateLayout> layout_;
   // Plan-level batch fast-path eligibility (constructor; see
   // BatchFastPathEligible) and whether any AttachTransitionLink happened.
   bool batch_plan_ok_ = false;
@@ -356,9 +399,8 @@ class GretaGraph {
   std::vector<CompiledEdgeFilter::PrevColumns> run_prev_cols_;
   std::vector<uint8_t> run_prev_built_;      // per transition
   std::vector<int> run_tidx_;                // per transition: t_idx
-  std::vector<Counter> run_running_;         // COUNT-kernel accumulators
-  std::vector<AggCell> run_acc_;             // generic fold accumulators
-  // Per window result slot (also the partial row path's END lookups).
+  std::vector<AggCell> run_acc_;             // shared/suffix accumulators
+  // Per window result slot of the current END insert or run.
   std::vector<std::vector<AggOutputs>*> run_outs_;
   // One-entry cache for the per-END-insert results_[wid] hash lookup
   // (window ids advance monotonically, so consecutive END inserts hit the

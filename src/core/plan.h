@@ -71,10 +71,11 @@ inline KeyBounds CombineTransitionBounds(const TransitionPlan& tp,
 }
 
 /// Propagation kernel compiled for one graph at plan time from its AggPlan
-/// flag set and CounterMode (see src/core/README.md for the dispatch table).
-/// The kernels change only how aggregate state moves along an edge — every
-/// structural decision (windows, barriers, pruning, semantics bookkeeping)
-/// is identical across them, so results are bit-identical by construction.
+/// flag set and CounterMode, or from ExecPlan::partial (see
+/// src/core/README.md for the dispatch table). The kernels change only how
+/// aggregate state moves along an edge — every structural decision (window
+/// ranges, barriers, pruning, semantics bookkeeping) is shared code, so
+/// results are bit-identical by construction.
 enum class PropKernel : uint8_t {
   /// Every query slot is COUNT(*)-only and counters wrap mod 2^64: edge
   /// propagation is a tight u64 add over the contiguous (window, query) cell
@@ -87,7 +88,13 @@ enum class PropKernel : uint8_t {
   /// auxiliaries, or kernel specialization disabled: the flag-tested
   /// AggCell::AddPredecessor path.
   kGeneric,
+  /// Partial sharing (ExecPlan::partial set; always, specialization knob or
+  /// not): core edges move one structural snapshot count plus one fold per
+  /// aggregate target, query-owned edges move only their owner's aggregates
+  /// (PartialSharingPlan).
+  kPartial,
 };
+inline constexpr size_t kNumPropKernels = 4;
 
 /// Compilation of one sub-pattern (positive core or negative sub-pattern)
 /// into its GRETA template plus predicate attachments. Negative sub-patterns

@@ -220,11 +220,14 @@ void SelectKernels(ExecPlan* plan, const PlannerOptions& options) {
   for (AlternativePlan& alt : plan->alternatives) {
     for (GraphPlan& gp : alt.graphs) {
       ComputeStoredAttrCounts(&gp);
+      // Partial sharing moves snapshot/fold cells, not per-query cells, so
+      // it has its own kernel whatever the specialization knob says.
+      if (plan->partial.has_value()) {
+        gp.kernel = PropKernel::kPartial;
+        continue;
+      }
       gp.kernel = PropKernel::kGeneric;
       if (!options.enable_specialized_kernels) continue;
-      // Partial sharing propagates snapshot/fold cells through its own
-      // dedicated path; the flag-set kernels do not apply.
-      if (plan->partial.has_value()) continue;
       auto count_only = [](const AggPlan& a) {
         return !a.need_type_count && !a.need_min && !a.need_max &&
                !a.need_sum && !a.need_max_start;

@@ -6,6 +6,7 @@
 // promotion-boundary tests at the u64 overflow edge, including an
 // engine-level run whose trend count crosses 2^64.
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -35,15 +36,22 @@ std::unique_ptr<Catalog> FuzzCatalog() {
   return catalog;
 }
 
-Stream FuzzStream(Catalog* catalog, uint64_t seed, int n) {
+// `nan_every` > 0 overwrites x with NaN on every nan_every-th event (after
+// the same random draws, so the rest of the stream is unchanged).
+Stream FuzzStream(Catalog* catalog, uint64_t seed, int n, int nan_every = 0) {
   Random rng(seed);
   const char* types[] = {"A", "B", "C"};
   Stream stream;
   Ts time = 0;
   for (int i = 0; i < n; ++i) {
     time += rng.UniformInt(0, 2);
-    stream.Append(EventBuilder(catalog, types[rng.UniformInt(0, 2)], time)
-                      .Set("x", rng.UniformDouble(0, 10))
+    const char* type = types[rng.UniformInt(0, 2)];
+    double x = rng.UniformDouble(0, 10);
+    if (nan_every > 0 && i % nan_every == 0) {
+      x = std::numeric_limits<double>::quiet_NaN();
+    }
+    stream.Append(EventBuilder(catalog, type, time)
+                      .Set("x", x)
                       .Set("g", rng.UniformInt(0, 2))
                       .Build());
   }
@@ -602,8 +610,8 @@ TEST(BatchEquivalence, ResidualPredicates) {
 }
 
 // Partial sharing with attribute aggregates at ragged batch sizes: the
-// batched snapshot kernel must fill the same (snapshot, fold-slot) cells as
-// InsertAtStatePartial, including the per-query handoff at suffix states.
+// kPartial run kernel must fill the same (snapshot, fold-slot) cells as
+// the kPartial row kernel, including the per-query handoff at suffix states.
 TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
   auto catalog = FuzzCatalog();
   std::vector<QuerySpec> specs;
@@ -641,7 +649,7 @@ TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
 // COUNT(S) joining an A slot, COUNT(E) on the suffix type with no core
 // slot, COUNT(*)-only), with and without a NEXT predicate (shared fold vs
 // per-event strategy): the batched kernel at ragged sizes must fill the
-// shared slots exactly as InsertAtStatePartial does.
+// shared slots exactly as the kPartial row kernel does.
 TEST(BatchEquivalence, PartialSharingSharedTargetSlots) {
   auto catalog = FuzzCatalog();
   for (const char* where : {"", " WHERE S.x < NEXT(S).x"}) {
@@ -684,6 +692,87 @@ TEST(BatchEquivalence, PartialSharingSharedTargetSlots) {
       }
     }
   }
+}
+
+// A NaN sort key hands the affected (state, run) from the run kernel back
+// to the row kernel mid-run (reason="bounds") — the one place the run
+// kernel calls the row kernel. CombineTransitionBounds drops a NaN
+// NEXT(S).x bound (every comparison with NaN is false), so what fires here
+// is a NaN predecessor key met while collecting entries for a
+// multi-event run. Single-query, multi-query shared and partial plans at
+// ragged batch sizes must stay bit-identical to per-event Process, and the
+// fallback must actually fire wherever a run can hold two events (batch
+// size > 1). The aggregates read g, not the NaN-bearing x, so the exact
+// sum comparisons stay meaningful.
+TEST(BatchEquivalence, NanSortKeyFallsBackToRowKernel) {
+  auto catalog = FuzzCatalog();
+  Stream stream = FuzzStream(catalog.get(), 191, 150, /*nan_every=*/5);
+  const std::string where = " WHERE S.x < NEXT(S).x";
+  auto fallback_rows = [](GretaEngine* engine) {
+    engine->RefreshStats();
+    return engine->stats().batch_rows_fallback;
+  };
+
+  {
+    const std::string text =
+        "RETURN COUNT(*), SUM(S.g), MIN(S.g), MAX(S.g) PATTERN "
+        "SEQ(A S+, B E)" + where + " WITHIN 8 seconds SLIDE 4 seconds";
+    QuerySpec spec = Parse(text, catalog.get());
+    ExpectBatchMatchesScalar(catalog.get(), spec, stream, {}, text);
+    for (size_t batch_size : {size_t{7}, size_t{256}}) {
+      auto engine = MakeGreta(catalog.get(), spec.Clone(), {});
+      RunEngineBatched(engine.get(), stream, batch_size);
+      EXPECT_GT(fallback_rows(engine.get()), 0u)
+          << text << " batch=" << batch_size;
+    }
+  }
+
+  // Multi-query shared cells and partial sharing, drained per query slot.
+  using Query = std::pair<const char*, int>;  // RETURN..PATTERN, WITHIN
+  auto expect_slots_match = [&](auto create,
+                                const std::vector<Query>& workload,
+                                const std::string& label) {
+    std::vector<QuerySpec> specs;
+    for (const auto& [head, within] : workload) {
+      specs.push_back(Parse(std::string(head) + where + " WITHIN " +
+                                std::to_string(within) +
+                                " seconds SLIDE 4 seconds",
+                            catalog.get()));
+    }
+    std::vector<const QuerySpec*> spec_ptrs;
+    for (const QuerySpec& s : specs) spec_ptrs.push_back(&s);
+    auto scalar = create(catalog.get(), spec_ptrs, EngineOptions{});
+    ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+    ProcessStream(scalar.value().get(), stream);
+    std::vector<std::vector<ResultRow>> expected;
+    for (size_t q = 0; q < specs.size(); ++q) {
+      expected.push_back(scalar.value()->TakeResultsFor(q));
+    }
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+      const std::string at = label + " batch=" + std::to_string(batch_size);
+      auto batched = create(catalog.get(), spec_ptrs, EngineOptions{});
+      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+      ProcessStreamBatched(batched.value().get(), stream, batch_size);
+      for (size_t q = 0; q < specs.size(); ++q) {
+        ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
+                            at + " slot " + std::to_string(q));
+      }
+      if (batch_size > 1) {
+        EXPECT_GT(fallback_rows(batched.value().get()), 0u) << at;
+      }
+    }
+  };
+  expect_slots_match(&GretaEngine::CreateMulti,
+                     {{"RETURN COUNT(*) PATTERN A S+", 8},
+                      {"RETURN SUM(S.g), MIN(S.g) PATTERN A S+", 8},
+                      {"RETURN MAX(S.g), COUNT(S) PATTERN A S+", 8}},
+                     "multi");
+  expect_slots_match(
+      &GretaEngine::CreatePartial,
+      {{"RETURN COUNT(*) PATTERN A S+", 8},
+       {"RETURN SUM(S.g), MAX(S.g) PATTERN SEQ(A S+, B E)", 4},
+       {"RETURN MIN(S.g), COUNT(S) PATTERN A S+", 12}},
+      "partial");
 }
 
 // The engine tallies which rows took an amortized kernel and which fell
