@@ -29,10 +29,16 @@ namespace greta {
 /// hot panes amortize to one malloc per ~64 KiB. `footprint_bytes()` is the
 /// O(1) source of truth for memory accounting: PaneStore polls its delta
 /// after each insert instead of walking cells.
+///
+/// A recycled pane (storage/pane.h, PanePool) keeps its Arena object but
+/// not its chunks: Reset() frees every chunk and restarts the geometric
+/// growth, so a pane reused for a sparse partition starts small again and
+/// the free list holds no arena bytes.
 class Arena {
  public:
   explicit Arena(size_t first_chunk_bytes = kDefaultFirstChunkBytes)
-      : next_chunk_bytes_(first_chunk_bytes) {
+      : first_chunk_bytes_(first_chunk_bytes),
+        next_chunk_bytes_(first_chunk_bytes) {
     GRETA_CHECK(first_chunk_bytes >= 64);
   }
 
@@ -49,6 +55,7 @@ class Arena {
       cursor_ = other.cursor_;
       limit_ = other.limit_;
       footprint_ = other.footprint_;
+      first_chunk_bytes_ = other.first_chunk_bytes_;
       next_chunk_bytes_ = other.next_chunk_bytes_;
       other.head_ = nullptr;
       other.cursor_ = other.limit_ = nullptr;
@@ -88,6 +95,13 @@ class Arena {
   void Reserve(size_t bytes) {
     size_t avail = static_cast<size_t>(limit_ - cursor_);
     if (avail < bytes) Grow(bytes + alignof(std::max_align_t));
+  }
+
+  /// Frees every chunk (the caller has destroyed whatever lived there) and
+  /// restarts growth at the first chunk size. footprint_bytes() drops to 0.
+  void Reset() {
+    FreeChunks();
+    next_chunk_bytes_ = first_chunk_bytes_;
   }
 
   /// Total bytes of chunk storage reserved (including headers and bump
@@ -134,6 +148,7 @@ class Arena {
   char* cursor_ = nullptr;
   char* limit_ = nullptr;
   size_t footprint_ = 0;
+  size_t first_chunk_bytes_;
   size_t next_chunk_bytes_;
 };
 

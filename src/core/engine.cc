@@ -58,8 +58,11 @@ StatusOr<std::unique_ptr<GretaEngine>> GretaEngine::CreatePartial(
 GretaEngine::GretaEngine(const Catalog* catalog,
                          std::unique_ptr<ExecPlan> plan,
                          const EngineOptions& options)
-    : catalog_(catalog), plan_(std::move(plan)), options_(options) {
-  if (options_.memory != nullptr) memory_ = options_.memory;
+    : catalog_(catalog),
+      plan_(std::move(plan)),
+      options_(options),
+      memory_(options.memory != nullptr ? options.memory : &own_memory_),
+      pane_pool_(std::make_unique<PanePool<GraphVertex>>(memory_)) {
   emitted_.resize(plan_->num_queries());
   for (const auto& [type, ids] : plan_->key_attr_ids) {
     if (static_cast<size_t>(type) >= route_table_.size()) {
@@ -123,6 +126,9 @@ GretaEngine::GretaEngine(const Catalog* catalog,
   simd_series += isa;
   simd_series += "\"}";
   tm_.simd_rows = reg.CounterIf(simd_series);
+  tm_.panes_fresh = reg.CounterIf("greta_core_panes_total{source=\"fresh\"}");
+  tm_.panes_recycled =
+      reg.CounterIf("greta_core_panes_total{source=\"recycled\"}");
   std::string info_series = "greta_build_info{simd=\"";
   info_series += isa;
   info_series += "\"}";
@@ -237,6 +243,9 @@ void GretaEngine::CloseWindowsUpTo(Ts now) {
         for (std::unique_ptr<GretaGraph>& g : alt.graphs) g->Purge(now);
       }
     }
+    // Expired panes just entered the pool; the ones no partition took
+    // since the previous close leave it.
+    pane_pool_->Trim();
     // Broadcast events older than one window length can no longer share a
     // window with any future partition member.
     while (!broadcast_buffer_.empty() &&
@@ -272,17 +281,25 @@ void GretaEngine::EmitWindow(WindowId wid) {
     query_stats_.resize(nq);
     for (size_t q = 0; q < nq; ++q) query_stats_[q].query_id = q;
   }
-  std::vector<std::unordered_map<std::vector<Value>, AggOutputs, ValueVecHash,
-                                 ValueVecEq>>
-      merged(nq);
+  // Group merge without a hash map: every partition's outputs land in
+  // reused scratch (nq slots per partition), the entries are sorted by
+  // (query, group, partition iteration order), and each run of equal groups
+  // merges in that order — the order a per-window hash merge over the
+  // partitions would use, so rows are bit-identical (floating-point SUM
+  // included).
+  const size_t ng = plan_->num_group_attrs;
+  emit_outs_.clear();
+  emit_entries_.clear();
   for (auto& [key, partition] : partitions_) {
-    std::vector<AggOutputs> accs(nq);
+    const size_t base = emit_outs_.size();
+    emit_outs_.resize(base + nq);
+    AggOutputs* accs = emit_outs_.data() + base;
     if (plan_->groups.size() <= 1) {
       // Disjoint alternatives sum (one term group); every query slot is
       // collected in the same structural pass.
       if (!plan_->groups.empty()) {
         for (int idx : plan_->groups[0].alternative_indices) {
-          partition->alts[idx].graphs[0]->CollectWindowAll(wid, &accs);
+          partition->alts[idx].graphs[0]->CollectWindowAll(wid, accs);
         }
       }
     } else {
@@ -303,45 +320,55 @@ void GretaEngine::EmitWindow(WindowId wid) {
         product = product.Mul(group_acc.count.ToBig());
       }
       if (all_nonzero) {
-        for (AggOutputs& acc : accs) {
-          acc.count = Counter::FromBig(product, plan_->mode);
-          acc.any = true;
+        for (size_t q = 0; q < nq; ++q) {
+          accs[q].count = Counter::FromBig(product, plan_->mode);
+          accs[q].any = true;
         }
       }
     }
     for (size_t q = 0; q < nq; ++q) {
       if (!accs[q].any) continue;
-      const AggPlan& qagg = plan_->query_aggs.empty() ? plan_->agg
-                                                      : plan_->query_aggs[q];
-      std::vector<Value> group(key.begin(),
-                               key.begin() + plan_->num_group_attrs);
-      auto [it, inserted] = merged[q].try_emplace(std::move(group));
-      (void)inserted;
-      it->second.Merge(accs[q], qagg);
+      emit_entries_.push_back({key.data(), static_cast<uint32_t>(q),
+                               static_cast<uint32_t>(base + q)});
     }
   }
-
-  for (size_t q = 0; q < nq; ++q) {
-    std::vector<ResultRow> rows;
-    rows.reserve(merged[q].size());
-    for (auto& [group, outputs] : merged[q]) {
-      ResultRow row;
-      row.wid = wid;
-      row.group = group;
-      row.aggs = std::move(outputs);
-      rows.push_back(std::move(row));
+  std::sort(emit_entries_.begin(), emit_entries_.end(),
+            [ng](const EmitEntry& a, const EmitEntry& b) {
+              if (a.q != b.q) return a.q < b.q;
+              const int c = CompareGroups(a.key, ng, b.key, ng);
+              if (c != 0) return c < 0;
+              return a.out < b.out;
+            });
+  auto same_group = [ng](const Value* a, const Value* b) {
+    for (size_t i = 0; i < ng; ++i) {
+      if (!(a[i] == b[i])) return false;
     }
-    SortRows(&rows);
-    query_stats_[q].rows_emitted += rows.size();
+    return true;
+  };
+  for (size_t i = 0; i < emit_entries_.size();) {
+    const EmitEntry& first = emit_entries_[i];
+    const size_t q = first.q;
+    const AggPlan& qagg = plan_->query_aggs.empty() ? plan_->agg
+                                                    : plan_->query_aggs[q];
+    ResultRow row;
+    row.wid = wid;
+    row.group.assign(first.key, first.key + ng);
+    row.aggs.Merge(emit_outs_[first.out], qagg);
+    size_t j = i + 1;
+    for (; j < emit_entries_.size() && emit_entries_[j].q == q &&
+           same_group(emit_entries_[j].key, first.key);
+         ++j) {
+      row.aggs.Merge(emit_outs_[emit_entries_[j].out], qagg);
+    }
+    i = j;
+    ++query_stats_[q].rows_emitted;
 #if GRETA_TELEMETRY
-    tm_rows += rows.size();
+    ++tm_rows;
 #endif
-    const bool has_callback =
-        q < result_callbacks_.size() && result_callbacks_[q];
-    for (ResultRow& row : rows) {
-      if (has_callback) result_callbacks_[q](row);
-      emitted_[q].push_back(std::move(row));
+    if (q < result_callbacks_.size() && result_callbacks_[q]) {
+      result_callbacks_[q](row);
     }
+    emitted_[q].push_back(std::move(row));
   }
 
   // Release per-window state and, in the same walk, snapshot the window
@@ -431,6 +458,18 @@ void GretaEngine::EmitWindow(WindowId wid) {
     const uint64_t delta = simd_total - tm_prev_simd_rows_;
     tm_prev_simd_rows_ = simd_total;
     if (delta != 0) GRETA_TM_ADD(tm_.simd_rows, delta);
+  }
+  {
+    const uint64_t fresh = pane_pool_->panes_created();
+    const uint64_t recycled = pane_pool_->panes_recycled();
+    if (fresh != tm_prev_panes_fresh_) {
+      GRETA_TM_ADD(tm_.panes_fresh, fresh - tm_prev_panes_fresh_);
+    }
+    if (recycled != tm_prev_panes_recycled_) {
+      GRETA_TM_ADD(tm_.panes_recycled, recycled - tm_prev_panes_recycled_);
+    }
+    tm_prev_panes_fresh_ = fresh;
+    tm_prev_panes_recycled_ = recycled;
   }
   if (tm_.emit_ns != nullptr) {
     tm_.emit_ns->Record(emit_span_ns);
@@ -584,7 +623,8 @@ GretaEngine::Partition* GretaEngine::GetOrCreatePartition(
     AltRuntime alt;
     for (const GraphPlan& gp : alt_plan.graphs) {
       alt.graphs.push_back(
-          std::make_unique<GretaGraph>(&gp, plan_.get(), memory_));
+          std::make_unique<GretaGraph>(&gp, plan_.get(), memory_,
+                                       pane_pool_.get()));
     }
     // Wire negation links: negative graph i reports into the graph it
     // invalidates (its parent), per its placement case.
@@ -760,7 +800,7 @@ std::vector<ResultRow> GretaEngine::TakeResults() {
 }
 
 size_t GretaEngine::RecomputeTrackedBytes() const {
-  size_t bytes = 0;
+  size_t bytes = pane_pool_->RecomputeApproxBytes();
   for (const auto& [key, partition] : partitions_) {
     bytes += sizeof(Partition) + key.size() * sizeof(Value);
     for (const AltRuntime& alt : partition->alts) {
@@ -810,6 +850,8 @@ void GretaEngine::RefreshAggregateStats() {
   stats_.batch_rows_fast = batch_fast;
   stats_.batch_rows_fallback = batch_fallback;
   stats_.simd_rows = simd_rows;
+  stats_.panes_created = pane_pool_->panes_created();
+  stats_.panes_recycled = pane_pool_->panes_recycled();
 }
 
 }  // namespace greta

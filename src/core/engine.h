@@ -143,10 +143,13 @@ class GretaEngine : public EngineInterface {
   const MemoryTracker& memory() const { return *memory_; }
 
   /// Re-derives the bytes currently charged to the tracker by walking every
-  /// partition's graphs and panes. O(everything) — accounting invariant
-  /// tests only; must equal memory().current_bytes() for a single-engine
-  /// tracker.
+  /// partition's graphs and panes and the pooled panes. O(everything) —
+  /// accounting invariant tests only; must equal memory().current_bytes()
+  /// for a single-engine tracker.
   size_t RecomputeTrackedBytes() const;
+
+  /// Expired panes awaiting reuse by any partition (storage/pane.h).
+  const PanePool<GraphVertex>& pane_pool() const { return *pane_pool_; }
 
   /// Optional push-style delivery: invoked for every result row of query
   /// slot `q` the moment its window closes (before it is queued for
@@ -206,8 +209,14 @@ class GretaEngine : public EngineInterface {
   std::unique_ptr<ExecPlan> plan_;
   EngineOptions options_;
   MemoryTracker own_memory_;
-  MemoryTracker* memory_ = &own_memory_;  // EngineOptions::memory if set
+  MemoryTracker* memory_;             // EngineOptions::memory, or own_memory_
   std::unique_ptr<ThreadPool> pool_;  // null when single-threaded
+  // Shared by every partition's graphs; declared after the tracker it
+  // charges (its destructor releases the pooled bytes) and before the
+  // partitions. On the heap because inline it would push sizeof(*this)
+  // past glibc's 1032-byte thread-cache limit, and engine creation
+  // measured ~1 us slower for it.
+  std::unique_ptr<PanePool<GraphVertex>> pane_pool_;
 
   std::unordered_map<std::vector<Value>, std::unique_ptr<Partition>,
                      ValueVecHash, ValueVecEq>
@@ -241,6 +250,18 @@ class GretaEngine : public EngineInterface {
   WindowId next_close_ = 0;
   bool next_close_valid_ = false;
 
+  // EmitWindow scratch, reused across windows: every (partition, query)
+  // output of the window, and one sortable entry per non-empty output (its
+  // query, partition key and slot in emit_outs_, which is also the
+  // partition iteration order).
+  struct EmitEntry {
+    const Value* key;
+    uint32_t q;
+    uint32_t out;
+  };
+  std::vector<AggOutputs> emit_outs_;
+  std::vector<EmitEntry> emit_entries_;
+
   std::vector<std::vector<ResultRow>> emitted_;  // per query slot
   std::vector<std::function<void(const ResultRow&)>> result_callbacks_;
   EngineStats stats_;
@@ -273,6 +294,10 @@ class GretaEngine : public EngineInterface {
     // Rows through the dispatched vector kernels, labeled by the ISA
     // resolved at engine construction (greta_core_simd_rows_total{isa=...}).
     telemetry::Counter* simd_rows = nullptr;
+    // Panes opened fresh vs taken from pane_pool_
+    // (greta_core_panes_total{source=...}).
+    telemetry::Counter* panes_fresh = nullptr;
+    telemetry::Counter* panes_recycled = nullptr;
     telemetry::Histogram* emit_ns = nullptr;  // window close-to-emit latency
     telemetry::Gauge* pane_bytes = nullptr;   // tracked bytes after a close
     telemetry::TraceRing* trace = nullptr;
@@ -299,6 +324,8 @@ class GretaEngine : public EngineInterface {
   uint64_t tm_prev_batch_strategy_[GretaGraph::kNumBatchStrategies] = {0, 0,
                                                                        0};
   uint64_t tm_prev_simd_rows_ = 0;
+  uint64_t tm_prev_panes_fresh_ = 0;
+  uint64_t tm_prev_panes_recycled_ = 0;
 };
 
 }  // namespace greta

@@ -25,16 +25,6 @@ std::string FormatRow(const ResultRow& row, const std::vector<AggSpec>& specs,
 
 namespace {
 
-int CompareValueVectors(const std::vector<Value>& a,
-                        const std::vector<Value>& b) {
-  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
-  }
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  return 0;
-}
-
 bool CloseEnough(double a, double b) {
   if (a == b) return true;
   if (std::isinf(a) || std::isinf(b)) return false;
@@ -44,11 +34,29 @@ bool CloseEnough(double a, double b) {
 
 }  // namespace
 
+int CompareGroups(const Value* a, size_t na, const Value* b, size_t nb) {
+  auto is_nan = [](const Value& v) {
+    return v.kind() == Value::Kind::kDouble && std::isnan(v.AsDouble());
+  };
+  for (size_t i = 0; i < std::min(na, nb); ++i) {
+    const bool a_nan = is_nan(a[i]);
+    const bool b_nan = is_nan(b[i]);
+    if (a_nan || b_nan) {
+      if (a_nan != b_nan) return a_nan ? 1 : -1;
+      continue;
+    }
+    int c = a[i].Compare(b[i]);
+    if (c != 0) return c;
+  }
+  if (na != nb) return na < nb ? -1 : 1;
+  return 0;
+}
+
 void SortRows(std::vector<ResultRow>* rows) {
   std::sort(rows->begin(), rows->end(),
             [](const ResultRow& a, const ResultRow& b) {
               if (a.wid != b.wid) return a.wid < b.wid;
-              return CompareValueVectors(a.group, b.group) < 0;
+              return CompareGroups(a.group, b.group) < 0;
             });
 }
 
@@ -68,7 +76,7 @@ bool RowsEquivalent(const std::vector<ResultRow>& a,
     const ResultRow& y = b[i];
     std::string where = "row " + std::to_string(i);
     if (x.wid != y.wid) return fail(where + ": window mismatch");
-    if (CompareValueVectors(x.group, y.group) != 0) {
+    if (CompareGroups(x.group, y.group) != 0) {
       return fail(where + ": group mismatch");
     }
     if (x.aggs.count.ToDecimal() != y.aggs.count.ToDecimal()) {

@@ -82,6 +82,10 @@ struct EngineStats {
   // Rows whose batch kernels ran through the dispatched vector ISA (zero
   // under scalar dispatch, GRETA_SIMD=scalar, or enable_simd=false).
   size_t simd_rows = 0;
+  // Time panes the GRETA engine opened fresh vs reused from its free list
+  // of expired panes (storage/pane.h). Zero for the other engines.
+  size_t panes_created = 0;
+  size_t panes_recycled = 0;
 };
 
 /// Common interface of the GRETA engine and the two-step baselines (SASE,
@@ -131,7 +135,20 @@ class EngineInterface {
 std::string FormatRow(const ResultRow& row, const std::vector<AggSpec>& specs,
                       const Catalog& catalog);
 
-/// Deterministic ordering used by every engine before emitting.
+/// Three-way order of group keys: lexicographic by Value::Compare, except
+/// that a NaN sorts after every number and equal to another NaN (Compare
+/// alone calls NaN equal to everything, which is no strict weak order),
+/// then shorter first. SortRows, GretaEngine's window emit and the sharded
+/// ResultMerger all order groups by it. Rows merge only on equal keys
+/// (operator==), so NaN groups stay apart, as under a hash merge.
+int CompareGroups(const Value* a, size_t na, const Value* b, size_t nb);
+inline int CompareGroups(const std::vector<Value>& a,
+                         const std::vector<Value>& b) {
+  return CompareGroups(a.data(), a.size(), b.data(), b.size());
+}
+
+/// Deterministic ordering used by every engine before emitting: window id,
+/// then CompareGroups.
 void SortRows(std::vector<ResultRow>* rows);
 
 /// True when two result sets agree on counts (exact decimal), min/max/sum

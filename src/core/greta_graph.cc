@@ -12,15 +12,20 @@
 namespace greta {
 
 GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
-                       MemoryTracker* memory)
+                       MemoryTracker* memory, PanePool<GraphVertex>* pool)
     : plan_(plan),
       exec_(exec),
       partial_(exec->partial.has_value() ? &*exec->partial : nullptr),
       num_queries_(plan->aggs.empty() ? 1
                                       : static_cast<int>(plan->aggs.size())),
-      panes_(PaneSize(exec->window), plan->templ.num_states(), memory),
+      panes_(PaneSize(exec->window), plan->templ.num_states(), memory, pool),
       single_window_(MaxWindowsPerEvent(exec->window) == 1) {
   transition_links_.resize(plan_->templ.transitions().size());
+  size_t ring = 1;
+  while (ring < static_cast<size_t>(MaxWindowsPerEvent(exec_->window)) + 1) {
+    ring *= 2;
+  }
+  results_.resize(ring);
   // Per-state cell layout. Ordinary plans: the exec window and one cell per
   // query slot everywhere. Partial sharing: core vertices span the union
   // window with core_stride() fold-slot cells; a continuation vertex spans
@@ -293,15 +298,15 @@ inline void GretaGraph::FinishRow(AggCell* row, int nq, const EventRef& e,
 
 template <PropKernel K>
 inline void GretaGraph::AccumulateEndRow(const GraphVertex& v, int nq) {
-  auto out_at = [&](int c) -> std::vector<AggOutputs>& {
+  auto out_at = [&](int c) -> AggOutputs* {
     if (run_outs_[c] == nullptr) run_outs_[c] = ResultsFor(v.first_wid + c);
-    return *run_outs_[c];
+    return run_outs_[c];
   };
   if constexpr (K != PropKernel::kPartial) {
     for (int c = 0; c < v.num_wids; ++c) {
       const AggCell* row = v.cells + static_cast<size_t>(c) * nq;
       if (!row->active || row->count.IsZero()) continue;
-      std::vector<AggOutputs>& out = out_at(c);
+      AggOutputs* out = out_at(c);
       for (int q = 0; q < nq; ++q) {
         if constexpr (kIsCountKernel<K>) {
           out[q].count.Add(row[q].count, kCountMode<K>);
@@ -992,8 +997,9 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
 
 void GretaGraph::CollectWindow(WindowId wid, size_t q, AggOutputs* out) {
   if (graph_links_.empty()) {
-    auto it = results_.find(wid);
-    if (it != results_.end()) out->Merge(it->second[q], AggAt(q));
+    if (const ResultSlot* slot = FindResults(wid)) {
+      out->Merge(slot->outs[q], AggAt(q));
+    }
     return;
   }
   // Trailing negation (Case 2): only END vertices whose trends finished
@@ -1012,14 +1018,13 @@ void GretaGraph::CollectWindow(WindowId wid, size_t q, AggOutputs* out) {
   });
 }
 
-void GretaGraph::CollectWindowAll(WindowId wid, std::vector<AggOutputs>* outs) {
+void GretaGraph::CollectWindowAll(WindowId wid, AggOutputs* outs) {
   const size_t nq = static_cast<size_t>(num_queries_);
-  GRETA_DCHECK(outs->size() == nq);
   if (graph_links_.empty()) {
-    auto it = results_.find(wid);
-    if (it == results_.end()) return;
+    const ResultSlot* slot = FindResults(wid);
+    if (slot == nullptr) return;
     for (size_t q = 0; q < nq; ++q) {
-      (*outs)[q].Merge(it->second[q], AggAt(q));
+      outs[q].Merge(slot->outs[q], AggAt(q));
     }
     return;
   }
@@ -1036,16 +1041,15 @@ void GretaGraph::CollectWindowAll(WindowId wid, std::vector<AggOutputs>* outs) {
     if (!first->active || first->count.IsZero()) return;
     if (u->time < barrier) return;
     for (size_t q = 0; q < nq; ++q) {
-      (*outs)[q].AccumulateEnd(*u->cell(wid, q), AggAt(q));
+      outs[q].AccumulateEnd(*u->cell(wid, q), AggAt(q));
     }
   });
 }
 
 void GretaGraph::ForgetWindow(WindowId wid) {
-  if (results_cache_ != nullptr && results_cache_wid_ == wid) {
-    results_cache_ = nullptr;
-  }
-  results_.erase(wid);
+  forgotten_ = std::max(forgotten_, wid);
+  ResultSlot& slot = results_[ResultIndex(wid)];
+  if (slot.wid == wid) ClearSlot(&slot);
 }
 
 void GretaGraph::Purge(Ts watermark) {
@@ -1055,13 +1059,6 @@ void GretaGraph::Purge(Ts watermark) {
   // Wholesale pane deletion: the pane store releases each dropped pane's
   // charged bytes in one step (no per-vertex accounting walk).
   panes_.PurgeBefore(cutoff);
-}
-
-size_t GretaGraph::ApproxBytes() const {
-  size_t bytes = panes_.ApproxBytes();
-  bytes += results_.size() *
-           (sizeof(WindowId) + num_queries_ * sizeof(AggOutputs) + 16);
-  return bytes;
 }
 
 }  // namespace greta

@@ -110,8 +110,10 @@ struct GraphVertex {
 /// MemoryTracker at its allocation sites, so inserts never walk cells.
 class GretaGraph {
  public:
+  /// `pool` (may be null) recycles expired panes across every graph of
+  /// one engine; it must share `memory` and outlive the graph.
   GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
-             MemoryTracker* memory);
+             MemoryTracker* memory, PanePool<GraphVertex>* pool);
 
   GretaGraph(const GretaGraph&) = delete;
   GretaGraph& operator=(const GretaGraph&) = delete;
@@ -189,9 +191,9 @@ class GretaGraph {
   void CollectWindow(WindowId wid, size_t q, AggOutputs* out);
 
   /// Collects every query slot in one pass (one barrier computation and one
-  /// END-vertex scan total, not per query). `outs` must have one entry per
-  /// query slot; results are accumulated into it.
-  void CollectWindowAll(WindowId wid, std::vector<AggOutputs>* outs);
+  /// END-vertex scan total, not per query). `outs` must point at one entry
+  /// per query slot; results are accumulated into it.
+  void CollectWindowAll(WindowId wid, AggOutputs* outs);
 
   /// Releases per-window state after the window was emitted.
   void ForgetWindow(WindowId wid);
@@ -203,7 +205,6 @@ class GretaGraph {
   size_t num_vertices() const { return panes_.size(); }
   size_t total_vertices() const { return total_vertices_; }
   size_t edges_traversed() const { return edges_; }
-  size_t ApproxBytes() const;
 
   /// Re-derives the bytes this graph has charged to the MemoryTracker by
   /// walking every pane (accounting invariant tests only).
@@ -323,7 +324,21 @@ class GretaGraph {
   // moved into the pane arena only if the vertex is actually inserted (so
   // rejected events never consume arena space). Reused across inserts.
   std::vector<AggCell> scratch_cells_;
-  std::unordered_map<WindowId, std::vector<AggOutputs>> results_;
+  // Incremental final aggregates per open window: a ring indexed by
+  // window id (size a power of two above the windows one event spans).
+  // The engine forgets windows in ascending order, so a slot whose window
+  // is at or below forgotten_ is free: that window is never collected
+  // again (an event after Flush() can still write to a window Flush
+  // closed; those rows were always dropped). The open windows — those
+  // above forgotten_ that hold results — lie within one event's window
+  // range, so no two of them share a slot. Slots and their num_queries_
+  // outputs are reused window after window.
+  struct ResultSlot {
+    WindowId wid = -1;
+    std::vector<AggOutputs> outs;
+  };
+  std::vector<ResultSlot> results_;
+  WindowId forgotten_ = -1;  // highest window passed to ForgetWindow
   std::vector<std::vector<NegationLink*>> transition_links_;
   std::vector<NegationLink*> graph_links_;   // Case 2: all transitions
   std::vector<NegationLink*> follow_links_;  // Case 3
@@ -400,24 +415,30 @@ class GretaGraph {
   std::vector<uint8_t> run_prev_built_;      // per transition
   std::vector<int> run_tidx_;                // per transition: t_idx
   std::vector<AggCell> run_acc_;             // shared/suffix accumulators
-  // Per window result slot of the current END insert or run.
-  std::vector<std::vector<AggOutputs>*> run_outs_;
-  // One-entry cache for the per-END-insert results_[wid] hash lookup
-  // (window ids advance monotonically, so consecutive END inserts hit the
-  // same entry). Entries are stable across rehash (node-based map);
-  // invalidated on ForgetWindow.
-  WindowId results_cache_wid_ = 0;
-  std::vector<AggOutputs>* results_cache_ = nullptr;
+  // Per window result outputs of the current END insert or run (pointers
+  // into ResultSlot::outs).
+  std::vector<AggOutputs*> run_outs_;
 
-  std::vector<AggOutputs>* ResultsFor(WindowId wid) {
-    if (results_cache_ != nullptr && results_cache_wid_ == wid) {
-      return results_cache_;
+  size_t ResultIndex(WindowId wid) const {
+    return static_cast<size_t>(wid) & (results_.size() - 1);
+  }
+  AggOutputs* ResultsFor(WindowId wid) {
+    ResultSlot* slot = &results_[ResultIndex(wid)];
+    if (slot->wid != wid) {
+      GRETA_CHECK(slot->wid <= forgotten_);  // never evict an open window
+      if (slot->wid >= 0) ClearSlot(slot);  // stale: written after Flush
+      slot->wid = wid;
+      if (slot->outs.empty()) slot->outs.resize(num_queries_);
     }
-    std::vector<AggOutputs>& out = results_[wid];
-    if (out.empty()) out.resize(num_queries_);
-    results_cache_wid_ = wid;
-    results_cache_ = &out;
-    return &out;
+    return slot->outs.data();
+  }
+  const ResultSlot* FindResults(WindowId wid) const {
+    const ResultSlot& slot = results_[ResultIndex(wid)];
+    return slot.wid == wid ? &slot : nullptr;
+  }
+  static void ClearSlot(ResultSlot* slot) {
+    slot->wid = -1;
+    for (AggOutputs& out : slot->outs) out = AggOutputs();
   }
 };
 

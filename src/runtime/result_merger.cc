@@ -1,6 +1,6 @@
 #include "runtime/result_merger.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -62,12 +62,18 @@ void ResultMerger::Merge() {
     for (size_t q = 0; q < nq; ++q) {
       std::vector<ResultRow>& staged = stage.per_query[q];
       if (staged.empty()) continue;
+      // A shard stages a window's rows contiguously, so consecutive rows
+      // overwhelmingly share one pending slot: look it up once per run.
+      WindowId cached_wid = 0;
+      std::vector<ResultRow>* cached = nullptr;
       for (ResultRow& row : staged) {
-        std::vector<std::vector<ResultRow>>& per_shard =
-            pending_[q]
-                .try_emplace(row.wid, num_shards_)
-                .first->second;
-        per_shard[s].push_back(std::move(row));
+        if (cached == nullptr || row.wid != cached_wid) {
+          cached_wid = row.wid;
+          cached = &pending_[q]
+                        .try_emplace(row.wid, num_shards_)
+                        .first->second[s];
+        }
+        cached->push_back(std::move(row));
       }
       staged.clear();
     }
@@ -75,39 +81,64 @@ void ResultMerger::Merge() {
 
   for (size_t q = 0; q < nq; ++q) {
     const WindowSpec& window = emission_windows_[q];
-    const AggPlan& plan = agg_plans_[q];
     auto it = pending_[q].begin();
     while (it != pending_[q].end()) {
       const bool window_ready =
           flushed_ ||
           (!window.unbounded() && WindowCloseTime(it->first, window) <= low);
       if (!window_ready) break;  // ascending map: later windows close later
-      std::unordered_map<std::vector<Value>, AggOutputs, ValueVecHash,
-                         ValueVecEq>
-          merged;
-      std::vector<std::vector<Value>> order;  // first-seen group order
-      for (std::vector<ResultRow>& shard_rows : it->second) {
-        for (ResultRow& row : shard_rows) {
-          auto [slot, inserted] = merged.try_emplace(row.group);
-          if (inserted) order.push_back(row.group);
-          slot->second.Merge(row.aggs, plan);
-        }
-      }
-      std::vector<ResultRow> rows;
-      rows.reserve(order.size());
-      for (std::vector<Value>& group : order) {
-        ResultRow row;
-        row.wid = it->first;
-        row.aggs = std::move(merged[group]);
-        row.group = std::move(group);
-        rows.push_back(std::move(row));
-      }
-      SortRows(&rows);
-      std::vector<ResultRow>& out = ready_[q];
-      out.insert(out.end(), std::make_move_iterator(rows.begin()),
-                 std::make_move_iterator(rows.end()));
+      MergeWindow(q, it->first, &it->second);
       it = pending_[q].erase(it);
     }
+  }
+}
+
+void ResultMerger::MergeWindow(size_t q, WindowId wid,
+                               std::vector<std::vector<ResultRow>>* per_shard) {
+  const AggPlan& plan = agg_plans_[q];
+  auto group_less = [](const ResultRow& a, const ResultRow& b) {
+    return CompareGroups(a.group, b.group) < 0;
+  };
+  // Engines emit a window's rows in group order; anything else (another
+  // engine type, or a window staged in pieces) is re-sorted here. The sort
+  // is stable, so one shard's duplicate groups keep their staged order.
+  for (std::vector<ResultRow>& rows : *per_shard) {
+    if (!std::is_sorted(rows.begin(), rows.end(), group_less)) {
+      std::stable_sort(rows.begin(), rows.end(), group_less);
+    }
+  }
+  heads_.assign(num_shards_, 0);
+  std::vector<ResultRow>& out = ready_[q];
+  for (;;) {
+    // The least group among the shard heads; ties go to the lowest shard.
+    size_t best = num_shards_;
+    for (size_t s = 0; s < num_shards_; ++s) {
+      if (heads_[s] == (*per_shard)[s].size()) continue;
+      if (best == num_shards_ ||
+          CompareGroups((*per_shard)[s][heads_[s]].group,
+                        (*per_shard)[best][heads_[best]].group) < 0) {
+        best = s;
+      }
+    }
+    if (best == num_shards_) break;
+    // Merge every row of that group in ascending shard order, each shard's
+    // rows in staged order — the order a hash merge over the shards would
+    // use, so rows are bit-identical.
+    ResultRow& first = (*per_shard)[best][heads_[best]++];
+    AggOutputs merged;
+    merged.Merge(first.aggs, plan);
+    for (size_t s = best; s < num_shards_; ++s) {
+      std::vector<ResultRow>& rows = (*per_shard)[s];
+      while (heads_[s] < rows.size() &&
+             ValueVecEq()(rows[heads_[s]].group, first.group)) {
+        merged.Merge(rows[heads_[s]++].aggs, plan);
+      }
+    }
+    ResultRow row;
+    row.wid = wid;
+    row.group = std::move(first.group);
+    row.aggs = std::move(merged);
+    out.push_back(std::move(row));
   }
 }
 

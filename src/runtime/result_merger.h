@@ -27,16 +27,21 @@ namespace greta::runtime {
 ///     ever emit up to that clock — a window is merged only once every
 ///     shard's clock passed its close time on the query's emission grid;
 ///  3. merges a ready window's rows group-wise via AggOutputs::Merge in
-///     ascending shard order, sorts with the engines' own SortRows, and
-///     appends to the per-query ready queue in ascending window order.
+///     ascending shard order and appends them, in CompareGroups order, to
+///     the per-query ready queue in ascending window order. The merge is a
+///     k-way merge over the shards' rows, which every GretaEngine emits
+///     already sorted by group; a shard whose rows arrive out of order is
+///     stable-sorted first. Rows are moved, never copied.
 ///
 /// The result is the single-threaded engine's emission order — (window,
 /// group) ascending per query — independent of shard count and thread
 /// timing. Counts (exact or modular) are bit-identical to single-threaded
 /// execution because counter addition is associative and commutative;
 /// MIN/MAX likewise; floating-point SUM/AVG can differ in the last ulp
-/// because summation order over partitions differs (the single engine's own
-/// partition iteration order is hash-map dependent too).
+/// from a single engine because summation order over partitions differs
+/// (the single engine's own partition iteration order is hash-map
+/// dependent too), but the merge itself is deterministic: equal groups
+/// always merge in ascending shard order.
 class ResultMerger {
  public:
   /// `emission_windows[q]` is the grid on which query q's unit runtime
@@ -68,7 +73,7 @@ class ResultMerger {
   /// New events follow a Flush: windows are gated by clocks again.
   void ClearFlushed();
 
-  /// Drains query `q`'s merged rows (ascending window, SortRows order).
+  /// Drains query `q`'s merged rows (ascending window, then group).
   std::vector<ResultRow> TakeReady(size_t query);
 
   bool HasReady() const;
@@ -105,6 +110,10 @@ class ResultMerger {
     std::atomic<Ts> clock{kMinTs};
   };
 
+  // k-way merges one ready window's per-shard rows into ready_[q].
+  void MergeWindow(size_t q, WindowId wid,
+                   std::vector<std::vector<ResultRow>>* per_shard);
+
   size_t num_shards_;
   std::vector<WindowSpec> emission_windows_;
   std::vector<AggPlan> agg_plans_;
@@ -115,6 +124,7 @@ class ResultMerger {
   std::vector<std::map<WindowId, std::vector<std::vector<ResultRow>>>>
       pending_;
   std::vector<std::vector<ResultRow>> ready_;
+  std::vector<size_t> heads_;  // MergeWindow scratch: per-shard cursor
   bool flushed_ = false;
 };
 

@@ -40,6 +40,10 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
   rt->options_ = options;
   if (rt->options_.batch_size == 0) rt->options_.batch_size = 1;
 
+  // Same contract as SharedEngineOptions: a caller's tracker becomes the
+  // parent of the workload roll-up.
+  rt->total_memory_.set_parent(options.workload.engine.memory);
+
   const size_t num_shards = rt->router_.num_shards();
   rt->shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {

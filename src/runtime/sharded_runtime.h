@@ -37,8 +37,9 @@ struct ShardedOptions {
   size_t heartbeat_events = 1024;
   /// Per-shard workload options. `engine.num_threads` should stay 1: the
   /// runtime's parallelism is across shards, and nested per-engine pools
-  /// would oversubscribe cores. `engine.memory` is overwritten (each shard
-  /// accounts into its own tracker, rolled up workload-wide).
+  /// would oversubscribe cores. Each shard accounts into its own tracker,
+  /// rolled up workload-wide (memory()); `engine.memory`, when set, becomes
+  /// the parent of that roll-up and must outlive the runtime.
   sharing::SharedEngineOptions workload;
 };
 

@@ -124,6 +124,20 @@ class BPlusTree {
   /// Bytes of node storage (for the benchmark memory metric).
   size_t ApproxBytes() const { return nodes_ * sizeof(Leaf); }
 
+  /// Empties the tree but keeps its leftmost leaf as an empty root, so a
+  /// recycled pane (storage/pane.h) indexes its first vertex without a
+  /// node allocation. ApproxBytes() then reports that one leaf.
+  void Reset() {
+    if (root_ == nullptr) return;
+    Leaf* keep = first_leaf_;
+    FreeRec(root_, keep);
+    keep->count = 0;
+    keep->next = nullptr;
+    root_ = keep;
+    size_ = 0;
+    nodes_ = 1;
+  }
+
   void Clear() {
     if (root_ != nullptr) {
       FreeRec(root_);
@@ -163,12 +177,13 @@ class BPlusTree {
     return inner;
   }
 
-  void FreeRec(Node* node) {
+  // Frees `node`'s subtree, sparing the leaf `keep` (if it is in there).
+  void FreeRec(Node* node, const Leaf* keep = nullptr) {
     if (!node->leaf) {
       Inner* inner = static_cast<Inner*>(node);
-      for (int i = 0; i <= inner->count; ++i) FreeRec(inner->children[i]);
+      for (int i = 0; i <= inner->count; ++i) FreeRec(inner->children[i], keep);
       delete inner;
-    } else {
+    } else if (node != keep) {
       delete static_cast<Leaf*>(node);
     }
   }

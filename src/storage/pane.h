@@ -1,8 +1,10 @@
 #ifndef GRETA_STORAGE_PANE_H_
 #define GRETA_STORAGE_PANE_H_
 
+#include <algorithm>
 #include <deque>
 #include <map>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -19,7 +21,8 @@ namespace greta {
 /// (one bucket per template state), the vertices that fall into it plus a
 /// Vertex Tree sorted by that bucket's key attribute. Expired panes are
 /// deleted wholesale ("instead of removing single expired events ... a whole
-/// pane with its associated data structures is deleted").
+/// pane with its associated data structures is deleted") — their contents
+/// at once, their skeleton into a PanePool for reuse (below).
 ///
 /// Each pane additionally owns a chunked Arena from which callers draw
 /// vertex side storage (aggregate cells, stored-event attribute payloads):
@@ -34,17 +37,36 @@ namespace greta {
 /// per-cell walks on the hot path. `RecomputeApproxBytes()` re-derives the
 /// same total from scratch for invariant tests.
 ///
+/// Pane lifecycle: with a PanePool attached (the engine owns one, shared by
+/// every partition's stores), an expired pane is not destroyed but reset
+/// and handed to the pool, and the next pane any store of that engine
+/// opens is taken from it. The reset destroys the vertices and frees the
+/// arena chunks but keeps the map node, the bucket array, each bucket's
+/// deque block and each tree's root leaf, so once the engine is warm a
+/// partition-window allocates nothing for its panes. The kept bytes stay
+/// charged to the tracker while pooled (see PanePool). Without a pool an
+/// expired pane is destroyed.
+///
 /// V is the vertex type; values handed to Insert are stored in a deque so
 /// the returned pointers stay stable for the lifetime of the pane. The deque
-/// is destroyed before the pane's arena, so V's destructor may still touch
+/// is emptied before the pane's arena, so V's destructor may still touch
 /// arena-backed storage (GraphVertex destroys its aggregate cells there).
+template <typename V>
+class PanePool;
+
 template <typename V>
 class PaneStore {
  public:
-  PaneStore(Ts pane_size, size_t num_buckets, MemoryTracker* memory = nullptr)
-      : pane_size_(pane_size), num_buckets_(num_buckets), memory_(memory) {
+  /// `pool`, when set, must share `memory` and outlive the store.
+  PaneStore(Ts pane_size, size_t num_buckets, MemoryTracker* memory = nullptr,
+            PanePool<V>* pool = nullptr)
+      : pane_size_(pane_size),
+        num_buckets_(num_buckets),
+        memory_(memory),
+        pool_(pool) {
     GRETA_CHECK(pane_size_ > 0);
     GRETA_CHECK(num_buckets_ > 0);
+    GRETA_CHECK(pool_ == nullptr || pool_->memory_ == memory_);
   }
 
   ~PaneStore() {
@@ -118,8 +140,9 @@ class PaneStore {
   }
 
   /// Drops every pane that ends at or before `cutoff` (batch deletion),
-  /// releasing its charged bytes wholesale. Returns the number of vertices
-  /// freed.
+  /// releasing its charged bytes wholesale — or, with a pool, all but the
+  /// bytes the reset pane keeps, which move to the pool. Returns the number
+  /// of vertices freed.
   size_t PurgeBefore(Ts cutoff) {
     return PurgeBefore(cutoff, [](const V&) {});
   }
@@ -131,14 +154,29 @@ class PaneStore {
     while (!panes_.empty()) {
       auto it = panes_.begin();
       if (it->second.start + pane_size_ > cutoff) break;
-      for (const Bucket& b : it->second.buckets) {
+      Pane& pane = it->second;
+      for (const Bucket& b : pane.buckets) {
         for (const V& v : b.vertices) on_free(v);
         freed += b.vertices.size();
       }
-      bytes_ -= it->second.bytes;
-      if (memory_ != nullptr) memory_->Release(it->second.bytes);
-      if (last_pane_ == &it->second) last_pane_ = nullptr;
-      panes_.erase(it);
+      if (last_pane_ == &pane) last_pane_ = nullptr;
+      const size_t charged = pane.bytes;
+      bytes_ -= charged;
+      if (pool_ == nullptr) {
+        if (memory_ != nullptr) memory_->Release(charged);
+        panes_.erase(it);
+        continue;
+      }
+      // Vertices first: ~V may touch cells in the arena.
+      for (Bucket& b : pane.buckets) {
+        b.vertices.clear();
+        b.index.Reset();
+      }
+      pane.arena.Reset();
+      pane.arena_accounted = 0;
+      pane.bytes = PaneBytes(pane);
+      if (memory_ != nullptr) memory_->Release(charged - pane.bytes);
+      pool_->Put(panes_.extract(it));
     }
     size_ -= freed;
     return freed;
@@ -158,16 +196,14 @@ class PaneStore {
     size_t bytes = 0;
     for (const auto& [idx, pane] : panes_) {
       (void)idx;
-      bytes += PaneOverheadBytes(pane);
-      bytes += pane.arena.footprint_bytes();
-      for (const Bucket& b : pane.buckets) {
-        bytes += b.vertices.size() * sizeof(V) + b.index.ApproxBytes();
-      }
+      bytes += PaneBytes(pane);
     }
     return bytes;
   }
 
  private:
+  friend class PanePool<V>;
+
   struct Bucket {
     std::deque<V> vertices;
     BPlusTree<V*> index;
@@ -183,8 +219,18 @@ class PaneStore {
     std::vector<Bucket> buckets;
   };
 
-  static size_t PaneOverheadBytes(const Pane& pane) {
-    return sizeof(Pane) + pane.buckets.capacity() * sizeof(Bucket);
+  using PaneMap = std::map<int64_t, Pane>;
+
+  // Everything a pane holds, derived from its structures: fixed overhead,
+  // arena chunks, vertex slots and tree nodes. A reset pane keeps only the
+  // overhead and one root leaf per indexed bucket.
+  static size_t PaneBytes(const Pane& pane) {
+    size_t bytes = sizeof(Pane) + pane.buckets.capacity() * sizeof(Bucket) +
+                   pane.arena.footprint_bytes();
+    for (const Bucket& b : pane.buckets) {
+      bytes += b.vertices.size() * sizeof(V) + b.index.ApproxBytes();
+    }
+    return bytes;
   }
 
   void ChargePane(Pane* pane, size_t bytes) {
@@ -214,11 +260,28 @@ class PaneStore {
   Pane& GetOrCreatePane(int64_t idx) {
     auto it = panes_.find(idx);
     if (it == panes_.end()) {
-      it = panes_.try_emplace(idx).first;
+      // A pooled pane arrives with its kept bytes still charged; only the
+      // difference a bucket-count change makes reaches the tracker.
+      typename PaneMap::node_type node;
+      if (pool_ != nullptr) node = pool_->Take();
+      size_t was_charged = 0;
+      if (node.empty()) {
+        it = panes_.try_emplace(panes_.end(), idx);
+      } else {
+        was_charged = node.mapped().bytes;
+        node.key() = idx;
+        it = panes_.insert(panes_.end(), std::move(node));
+      }
       Pane& pane = it->second;
       pane.start = idx * pane_size_;
       pane.buckets.resize(num_buckets_);
-      ChargePane(&pane, PaneOverheadBytes(pane));
+      pane.bytes = PaneBytes(pane);
+      bytes_ += pane.bytes;
+      if (memory_ != nullptr && pane.bytes > was_charged) {
+        memory_->Add(pane.bytes - was_charged);
+      } else if (memory_ != nullptr && pane.bytes < was_charged) {
+        memory_->Release(was_charged - pane.bytes);
+      }
     }
     last_pane_ = &it->second;
     return it->second;
@@ -227,10 +290,101 @@ class PaneStore {
   Ts pane_size_;
   size_t num_buckets_;
   MemoryTracker* memory_;
-  std::map<int64_t, Pane> panes_;  // ordered by pane index
+  PanePool<V>* pool_;
+  PaneMap panes_;                  // ordered by pane index
   Pane* last_pane_ = nullptr;      // one-entry PaneFor cache
   size_t size_ = 0;
   size_t bytes_ = 0;
+};
+
+/// The free list of reset panes shared by every PaneStore<V> of one engine
+/// (see PaneStore's pane lifecycle). A pooled pane keeps its map node,
+/// bucket array, deque blocks and tree root leaves; those bytes stay
+/// charged to the tracker and are counted here (ApproxBytes,
+/// RecomputeApproxBytes), so the engine's invariant holds with panes in
+/// flight. Trim(), called once per window close, frees every pane that sat
+/// in the pool unused since the previous Trim, so a burst over many
+/// partitions leaves nothing pooled one window close after its panes
+/// expire.
+///
+/// Take() may run on several delivery threads at once (parallel partition
+/// processing); Put() and Trim() run on the engine's serial path. A mutex
+/// covers all three — one uncontended lock per pane, not per event.
+template <typename V>
+class PanePool {
+ public:
+  explicit PanePool(MemoryTracker* memory = nullptr) : memory_(memory) {}
+  ~PanePool() {
+    if (memory_ != nullptr) memory_->Release(bytes_);
+  }
+
+  PanePool(const PanePool&) = delete;
+  PanePool& operator=(const PanePool&) = delete;
+
+  /// Frees the panes no store took since the previous Trim. The free list
+  /// is a stack (Take pops the most recently pooled pane), so those are
+  /// the `idle_` bottom entries.
+  void Trim() {
+    std::lock_guard<std::mutex> lock(mu_);
+    const size_t n = std::min(idle_, free_.size());
+    size_t freed = 0;
+    for (size_t i = 0; i < n; ++i) freed += free_[i].mapped().bytes;
+    free_.erase(free_.begin(), free_.begin() + static_cast<ptrdiff_t>(n));
+    bytes_ -= freed;
+    if (memory_ != nullptr) memory_->Release(freed);
+    idle_ = free_.size();
+  }
+
+  size_t size() const { return free_.size(); }
+
+  /// Bytes the pooled panes keep charged to the tracker. O(1).
+  size_t ApproxBytes() const { return bytes_; }
+
+  /// Re-derives ApproxBytes() from the pooled panes (invariant tests).
+  size_t RecomputeApproxBytes() const {
+    size_t bytes = 0;
+    for (const Node& node : free_) {
+      bytes += PaneStore<V>::PaneBytes(node.mapped());
+    }
+    return bytes;
+  }
+
+  /// Panes the stores opened fresh (a new map node) and from the pool.
+  uint64_t panes_created() const { return created_; }
+  uint64_t panes_recycled() const { return recycled_; }
+
+ private:
+  friend class PaneStore<V>;
+  using Node = typename PaneStore<V>::PaneMap::node_type;
+
+  // An empty node means the caller creates the pane fresh.
+  Node Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) {
+      ++created_;
+      return Node();
+    }
+    ++recycled_;
+    Node node = std::move(free_.back());
+    free_.pop_back();
+    idle_ = std::min(idle_, free_.size());
+    bytes_ -= node.mapped().bytes;
+    return node;
+  }
+
+  void Put(Node node) {
+    std::lock_guard<std::mutex> lock(mu_);
+    bytes_ += node.mapped().bytes;
+    free_.push_back(std::move(node));
+  }
+
+  MemoryTracker* memory_;
+  std::mutex mu_;
+  std::vector<Node> free_;
+  size_t idle_ = 0;  // low-water mark of free_.size() since the last Trim
+  size_t bytes_ = 0;
+  uint64_t created_ = 0;
+  uint64_t recycled_ = 0;
 };
 
 }  // namespace greta

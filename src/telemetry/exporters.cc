@@ -202,8 +202,25 @@ std::string ExportJson(MetricRegistry& registry, bool include_trace) {
 std::string ExplainTelemetry(MetricRegistry& registry, size_t trace_tail) {
   std::string out = "== telemetry ==\n";
   out += "-- counters --\n";
+  uint64_t panes_fresh = 0;
+  uint64_t panes_recycled = 0;
   for (const MetricRegistry::CounterSample& c : registry.ScrapeCounters()) {
     AppendF(&out, "  %-56s %" PRIu64 "\n", c.name.c_str(), c.value);
+    if (c.name == "greta_core_panes_total{source=\"fresh\"}") {
+      panes_fresh = c.value;
+    } else if (c.name == "greta_core_panes_total{source=\"recycled\"}") {
+      panes_recycled = c.value;
+    }
+  }
+  if (panes_fresh + panes_recycled > 0) {
+    // Time panes come from the engines' free lists once warm; a low share
+    // means partitions churn faster than panes expire (storage/pane.h).
+    AppendF(&out,
+            "-- pane recycling --\n  %" PRIu64 " of %" PRIu64
+            " panes opened were recycled (%.1f%%)\n",
+            panes_recycled, panes_fresh + panes_recycled,
+            100.0 * static_cast<double>(panes_recycled) /
+                static_cast<double>(panes_fresh + panes_recycled));
   }
   out += "-- gauges --\n";
   for (const MetricRegistry::GaugeSample& g : registry.ScrapeGauges()) {

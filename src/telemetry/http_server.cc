@@ -5,9 +5,12 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 
@@ -21,8 +24,10 @@ namespace {
 std::string StatusText(int status) {
   switch (status) {
     case 200: return "OK";
+    case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 408: return "Request Timeout";
     case 503: return "Service Unavailable";
     default: return "Error";
   }
@@ -34,8 +39,10 @@ void SendAll(int fd, const std::string& data) {
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
                              MSG_NOSIGNAL);
     if (n <= 0) {
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      return;  // peer went away; scrape clients just retry
+      if (n < 0 && errno == EINTR) continue;
+      // Peer went away, or (server side) stopped reading past the send
+      // deadline; scrape clients just retry.
+      return;
     }
     off += static_cast<size_t>(n);
   }
@@ -130,25 +137,68 @@ void HttpServer::AcceptLoop() {
 }
 
 void HttpServer::HandleConnection(int fd) {
-  // Read until the header terminator; GET requests have no body. 8 KiB is
-  // generous for "GET /path HTTP/1.1" plus scrape-client headers.
+  // Connections are served one at a time, so every socket gets deadlines:
+  // a client that connects and goes silent, or trickles its request, or
+  // stops reading the response, would otherwise hold /healthz hostage.
+  // The receive timeout is re-armed before each recv with what is left of
+  // one whole-request deadline.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(kIoDeadlineMs);
+  auto set_timeout = [fd](int option, Clock::duration d) {
+    const auto us =
+        std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(us / 1000000);
+    tv.tv_usec = static_cast<suseconds_t>(us % 1000000);
+    ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
+  };
+  set_timeout(SO_SNDTIMEO, std::chrono::milliseconds(kIoDeadlineMs));
+
+  // Read until the header terminator; GET requests have no body.
+  // kMaxRequestBytes is generous for "GET /path HTTP/1.1" plus scrape-client
+  // headers.
   std::string req;
   char buf[2048];
-  while (req.size() < 8192 && req.find("\r\n\r\n") == std::string::npos) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+  bool timed_out = false;
+  while (req.size() < kMaxRequestBytes &&
+         req.find("\r\n\r\n") == std::string::npos) {
+    const Clock::duration left = deadline - Clock::now();
+    if (left <= Clock::duration::zero()) {
+      timed_out = true;
       break;
     }
+    // A zero timeval would mean "block forever": round up to 1 us.
+    set_timeout(SO_RCVTIMEO,
+                std::max<Clock::duration>(left, std::chrono::microseconds(1)));
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      timed_out = true;
+      break;
+    }
+    if (n <= 0) break;
     req.append(buf, static_cast<size_t>(n));
   }
-  const size_t line_end = req.find("\r\n");
-  if (line_end == std::string::npos) return;  // malformed; just drop
+  if (timed_out) {
+    SendResponse(fd, Response{408, "text/plain", "request timed out\n"});
+    return;
+  }
+  if (req.find("\r\n\r\n") == std::string::npos) {
+    SendResponse(fd, Response{400, "text/plain",
+                              "request header too large or unterminated\n"});
+    return;
+  }
 
+  const size_t line_end = req.find("\r\n");
   const std::string line = req.substr(0, line_end);
   const size_t sp1 = line.find(' ');
-  const size_t sp2 = line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) return;
+  const size_t sp2 =
+      sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
+  if (sp2 == std::string::npos) {
+    SendResponse(fd, Response{400, "text/plain", "malformed request line\n"});
+    return;
+  }
   const std::string method = line.substr(0, sp1);
   std::string path = line.substr(sp1 + 1, sp2 - sp1 - 1);
   const size_t query = path.find('?');

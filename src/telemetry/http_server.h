@@ -2,6 +2,7 @@
 #define GRETA_TELEMETRY_HTTP_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -17,6 +18,13 @@ class MetricRegistry;
 /// sockets, one accept thread, serial request handling (scrapes are rare
 /// and cheap; there is nothing to pipeline). GET-only; anything else gets
 /// 405. Not a general web server — a /metrics-style exposition surface.
+///
+/// Because connections are served one at a time, each accepted socket has
+/// a deadline of kIoDeadlineMs for reading the whole request header and a
+/// send timeout of the same length per write: a silent or trickling client
+/// gets 408, a header over kMaxRequestBytes or one the client closed early
+/// gets 400, and the next connection (say, /healthz) is served after at
+/// most about one deadline.
 ///
 /// Built-in routes (all backed by the bound MetricRegistry):
 ///   /metrics   Prometheus text exposition (ExportPrometheus)
@@ -37,6 +45,9 @@ class HttpServer {
   };
   /// Handler gets the path remainder after its prefix ("" or "/<suffix>").
   using Handler = std::function<Response(const std::string& rest)>;
+
+  static constexpr int kIoDeadlineMs = 1000;
+  static constexpr size_t kMaxRequestBytes = 8192;
 
   explicit HttpServer(MetricRegistry& registry);
   ~HttpServer();

@@ -3,9 +3,17 @@
 // stall detector's /healthz verdict flipping to 503 for a deliberately
 // wedged shard (and recovering), per-query EXPLAIN ANALYZE reports whose
 // observed structural counters must agree with EngineStats, and result
-// determinism while a scraper hammers the endpoint mid-stream.
+// determinism while a scraper hammers the endpoint mid-stream, and per-
+// connection deadlines that keep a silent client from stalling /healthz.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -121,6 +129,104 @@ TEST(HttpServer, CustomHandlersLongestPrefixWins) {
   // "/apix" shares the byte prefix but not a path segment: no match.
   ASSERT_TRUE(HttpGet(server.port(), "/apix", &status, &body));
   EXPECT_EQ(status, 404);
+  server.Stop();
+}
+
+// A raw client socket connected to 127.0.0.1:port, with a receive timeout
+// so a broken server fails the test instead of hanging it. -1 on failure.
+int ConnectTo(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Everything the server sends until it closes, then closes `fd`.
+std::string ReadAllAndClose(int fd) {
+  std::string raw;
+  char buf[1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return raw;
+}
+
+// Connections are served one at a time: a client that connects and never
+// sends gets 408 at the read deadline, and a /healthz probe queued behind
+// it is answered within the deadline plus margin. An over-cap header and
+// one the client closes before terminating it get 400.
+TEST(HttpServer, SilentClientDoesNotStallHealthz) {
+  MetricRegistry reg;
+  HttpServer server(reg);
+  server.SetHandler("/healthz", [](const std::string&) {
+    return HttpServer::Response{200, "application/json",
+                                "{\"healthy\":true}"};
+  });
+  ASSERT_TRUE(server.Start(0)) << server.error();
+
+  const int silent = ConnectTo(server.port());
+  ASSERT_GE(silent, 0);
+  // Without deadlines the probe below would wait for the silent client
+  // forever; the watchdog hangs that client up after 5 s so a regression
+  // fails on the timing check instead of hanging the suite.
+  std::atomic<bool> probed{false};
+  std::thread watchdog([&] {
+    for (int i = 0; i < 500 && !probed.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ::shutdown(silent, SHUT_WR);
+  });
+  // Let the accept loop take the silent connection first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  int status = 0;
+  std::string body;
+  const bool answered = HttpGet(server.port(), "/healthz", &status, &body);
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  probed.store(true);
+  watchdog.join();
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(status, 200);
+  EXPECT_NE(body.find("\"healthy\":true"), std::string::npos);
+  EXPECT_LT(waited.count(), HttpServer::kIoDeadlineMs + 1500);
+  const std::string timed_out = ReadAllAndClose(silent);
+  EXPECT_EQ(timed_out.rfind("HTTP/1.1 408", 0), 0u) << timed_out;
+
+  // Exactly the cap, no terminator: the server reads it all, then refuses.
+  const int big = ConnectTo(server.port());
+  ASSERT_GE(big, 0);
+  const std::string junk(HttpServer::kMaxRequestBytes, 'a');
+  ASSERT_EQ(::send(big, junk.data(), junk.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(junk.size()));
+  const std::string over_cap = ReadAllAndClose(big);
+  EXPECT_EQ(over_cap.rfind("HTTP/1.1 400", 0), 0u) << over_cap;
+
+  const int cut = ConnectTo(server.port());
+  ASSERT_GE(cut, 0);
+  const std::string partial = "GET /healthz HTTP/1.1\r\n";
+  ASSERT_EQ(::send(cut, partial.data(), partial.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(partial.size()));
+  ::shutdown(cut, SHUT_WR);
+  const std::string unterminated = ReadAllAndClose(cut);
+  EXPECT_EQ(unterminated.rfind("HTTP/1.1 400", 0), 0u) << unterminated;
+
+  // The server still serves normally afterwards.
+  ASSERT_TRUE(HttpGet(server.port(), "/healthz", &status, &body));
+  EXPECT_EQ(status, 200);
   server.Stop();
 }
 
