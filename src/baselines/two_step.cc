@@ -204,7 +204,7 @@ void TwoStepEngine::Route(const Event& e) {
 bool TwoStepEngine::BroadcastMatches(const BroadcastEvent& b,
                                      const std::vector<Value>& key) const {
   for (size_t i = 0; i < b.has_attr.size(); ++i) {
-    if (b.has_attr[i] && !(b.key_values[i] == key[i])) return false;
+    if (b.has_attr[i] && !SameKey(b.key_values[i], key[i])) return false;
   }
   return true;
 }

@@ -14,7 +14,9 @@ namespace greta {
 /// (graph vertices, aggregate cells, stacks, materialized trends); the
 /// tracker records current and peak usage. This is intentionally analytic
 /// rather than RSS-based so runs are reproducible and comparable across
-/// engines and machines. Thread-safe (parallel group processing).
+/// engines and machines. Thread-safe: the shard engines of a ShardedRuntime
+/// (src/runtime/) charge their own trackers from their worker threads, and
+/// every charge is forwarded into the one workload roll-up they share.
 ///
 /// Scope note: the GRETA engine charges structural bytes at their
 /// allocation sites (panes, vertex slots, tree nodes, arena chunks — O(1)

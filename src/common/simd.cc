@@ -10,7 +10,6 @@ namespace {
 const Kernels& TableFor(Isa isa) {
   switch (isa) {
     case Isa::kAvx2: return Avx2Kernels();
-    case Isa::kSse42: return Sse42Kernels();
     case Isa::kScalar: return ScalarKernels();
   }
   return ScalarKernels();
@@ -22,9 +21,6 @@ const Kernels& TableFor(Isa isa) {
 Isa DetectBest() {
 #if defined(__x86_64__) || defined(__i386__)
   if (Avx2Compiled() && __builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  if (Sse42Compiled() && __builtin_cpu_supports("sse4.2")) {
-    return Isa::kSse42;
-  }
 #endif
   return Isa::kScalar;
 }
@@ -35,10 +31,6 @@ Isa ApplyOverride(Isa detected) {
   Isa wanted = detected;
   if (std::strcmp(env, "scalar") == 0) {
     wanted = Isa::kScalar;
-  } else if (std::strcmp(env, "sse") == 0 ||
-             std::strcmp(env, "sse4.2") == 0 ||
-             std::strcmp(env, "sse42") == 0) {
-    wanted = Isa::kSse42;
   } else if (std::strcmp(env, "avx2") == 0) {
     wanted = Isa::kAvx2;
   }
@@ -68,7 +60,6 @@ DispatchState& State() {
 const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kAvx2: return "avx2";
-    case Isa::kSse42: return "sse4.2";
     case Isa::kScalar: return "scalar";
   }
   return "scalar";

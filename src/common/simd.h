@@ -8,10 +8,10 @@ namespace greta::simd {
 
 /// Instruction sets the hot-loop kernels are compiled for. Ordered: a
 /// higher value is a superset of the lower ones on the host CPU.
-enum class Isa : uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class Isa : uint8_t { kScalar = 0, kAvx2 = 1 };
 
 /// Stable lowercase name for metric labels and bench columns:
-/// "scalar" | "sse4.2" | "avx2".
+/// "scalar" | "avx2".
 const char* IsaName(Isa isa);
 
 /// Comparison ops with the projected value on the LEFT. Mirrored
@@ -103,7 +103,8 @@ struct Kernels {
 };
 
 /// The table for the dispatched ISA: resolved once (cpuid + the
-/// GRETA_SIMD=scalar|sse|avx2 override) on first use.
+/// GRETA_SIMD=scalar|avx2 override; other values are ignored) on first
+/// use.
 const Kernels& Dispatch();
 
 /// The ISA Dispatch() currently routes to.
@@ -121,12 +122,10 @@ void ForceIsa(Isa isa);
 /// without the ISA) point at the scalar implementation, so every table is
 /// always safe to call.
 const Kernels& ScalarKernels();
-const Kernels& Sse42Kernels();
 const Kernels& Avx2Kernels();
 
 /// Whether the per-ISA translation unit was actually built with the ISA
 /// enabled (false on non-x86 targets, where the table aliases scalar).
-bool Sse42Compiled();
 bool Avx2Compiled();
 
 }  // namespace greta::simd

@@ -1,6 +1,7 @@
 #ifndef GRETA_COMMON_VALUE_H_
 #define GRETA_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -53,6 +54,7 @@ class Value {
   bool is_numeric() const {
     return kind_ == Kind::kInt || kind_ == Kind::kDouble;
   }
+  bool is_nan() const { return kind_ == Kind::kDouble && std::isnan(dbl_); }
 
   int64_t AsInt() const {
     GRETA_DCHECK(kind_ == Kind::kInt);
@@ -122,7 +124,8 @@ class Value {
   /// returns kind ordering otherwise.
   int Compare(const Value& other) const;
 
-  /// Hash suitable for unordered containers and group keys.
+  /// Hash suitable for unordered containers and group keys: equal under
+  /// SameKey() implies equal hashes.
   size_t Hash() const {
     switch (kind_) {
       case Kind::kNull:
@@ -131,10 +134,16 @@ class Value {
         return HashInt(int_);
       case Kind::kDouble: {
         // Hash ints and integral doubles identically so mixed-kind group
-        // keys that compare equal also hash equal.
-        double d = dbl_;
-        int64_t as_int = static_cast<int64_t>(d);
-        if (static_cast<double>(as_int) == d) return HashInt(as_int);
+        // keys that compare equal also hash equal. The cast is defined
+        // only inside int64's range; NaN, +-inf and larger magnitudes
+        // skip it, and every NaN hashes alike (SameKey equates them).
+        const double d = dbl_;
+        if (d >= -0x1p63 && d < 0x1p63) {
+          const int64_t as_int = static_cast<int64_t>(d);
+          if (static_cast<double>(as_int) == d) return HashInt(as_int);
+        } else if (std::isnan(d)) {
+          return 0x7ff8000000000000ULL;
+        }
         return HashDouble(d);
       }
       case Kind::kStr:
@@ -160,6 +169,13 @@ class Value {
   };
 };
 
+/// Key equality: operator== except that two NaNs are equal, so every event
+/// whose key attribute is NaN lands in one partition and one group (the
+/// order CompareGroups sorts by treats NaNs alike too).
+inline bool SameKey(const Value& a, const Value& b) {
+  return a == b || (a.is_nan() && b.is_nan());
+}
+
 /// Hash / equality over value vectors (partition keys, group keys), shared
 /// by the engine's partition map, the baselines, the shard router and the
 /// result merger — one combine, so they can never hash differently.
@@ -175,7 +191,7 @@ struct ValueVecEq {
                   const std::vector<Value>& b) const {
     if (a.size() != b.size()) return false;
     for (size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) return false;
+      if (!SameKey(a[i], b[i])) return false;
     }
     return true;
   }

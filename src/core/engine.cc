@@ -70,9 +70,6 @@ GretaEngine::GretaEngine(const Catalog* catalog,
     }
     route_table_[type] = &ids;
   }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
 #if GRETA_TELEMETRY
   // Arm the instruments once; the hot path only tests cached pointers.
   telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
@@ -155,9 +152,6 @@ Status GretaEngine::Process(const Event& e) {
     return Status::InvalidArgument(
         "events must arrive in-order by timestamp (Section 2)");
   }
-  if (pool_ != nullptr && !batch_.empty() && e.time != batch_ts_) {
-    FlushBatch();
-  }
   if (!next_close_valid_ && !plan_->window.unbounded()) {
     next_close_ = FirstWindowOf(e.time, plan_->window);
     next_close_valid_ = true;
@@ -167,12 +161,7 @@ Status GretaEngine::Process(const Event& e) {
   saw_events_ = true;
   ++stats_.events_processed;
 
-  if (pool_ != nullptr) {
-    batch_.push_back(e);
-    batch_ts_ = e.time;
-  } else {
-    Route(e);
-  }
+  Route(e);
   stats_.peak_bytes = memory_->peak_bytes();
   return Status::Ok();
 }
@@ -182,14 +171,6 @@ Status GretaEngine::ProcessBatch(const EventBatch& batch) {
   if (!batch.time_ordered() || (saw_events_ && batch.time(0) < watermark_)) {
     return Status::InvalidArgument(
         "events must arrive in-order by timestamp (Section 2)");
-  }
-  if (pool_ != nullptr) {
-    // Parallel mode keys its micro-batching off individual Process() calls.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Status s = Process(batch.ToEvent(i));
-      if (!s.ok()) return s;
-    }
-    return Status::Ok();
   }
   if (!next_close_valid_ && !plan_->window.unbounded()) {
     next_close_ = FirstWindowOf(batch.time(0), plan_->window);
@@ -218,9 +199,6 @@ Status GretaEngine::ProcessBatch(const EventBatch& batch) {
 
 Status GretaEngine::AdvanceWatermark(Ts now) {
   if (saw_events_ && now <= watermark_) return Status::Ok();
-  // Events at time == `now` may still arrive, so a micro-batch of that
-  // timestamp stays open; earlier batches can no longer grow.
-  if (pool_ != nullptr && !batch_.empty() && now > batch_ts_) FlushBatch();
   AdvanceTime(now);
   if (saw_events_) watermark_ = now;
   return Status::Ok();
@@ -607,7 +585,7 @@ void GretaEngine::RouteRun(const EventBatch& batch, size_t begin, size_t end) {
 bool GretaEngine::BroadcastMatches(const BroadcastEvent& b,
                                    const std::vector<Value>& key) const {
   for (size_t i = 0; i < b.has_attr.size(); ++i) {
-    if (b.has_attr[i] && !(b.key_values[i] == key[i])) return false;
+    if (b.has_attr[i] && !SameKey(b.key_values[i], key[i])) return false;
   }
   return true;
 }
@@ -708,58 +686,7 @@ void GretaEngine::DeliverBatchToPartition(Partition* p,
   }
 }
 
-void GretaEngine::FlushBatch() {
-  if (batch_.empty()) return;
-  // Serial routing builds per-partition batches (partition creation and
-  // broadcast buffering mutate shared state); delivery then runs in
-  // parallel, one task per partition — the paper's parallel processing of
-  // independent event trend groups (Section 7).
-  std::unordered_map<Partition*, std::vector<Event>> per_partition;
-  for (const Event& e : batch_) {
-    if (static_cast<size_t>(e.type) >= route_table_.size() ||
-        route_table_[e.type] == nullptr) {
-      continue;  // Irrelevant type.
-    }
-    ++obs_events_routed_;
-    const std::vector<AttrId>& ids = *route_table_[e.type];
-    bool full = true;
-    for (AttrId id : ids) full &= (id != kInvalidAttr);
-    if (full) {
-      route_key_.clear();
-      for (AttrId id : ids) route_key_.push_back(e.attr(id));
-      Partition* p = GetOrCreatePartition(route_key_, e.seq);
-      per_partition[p].push_back(e);
-    } else {
-      BroadcastEvent b;
-      b.event = e;
-      b.has_attr.resize(ids.size());
-      b.key_values.resize(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        b.has_attr[i] = (ids[i] != kInvalidAttr);
-        if (b.has_attr[i]) b.key_values[i] = e.attr(ids[i]);
-      }
-      for (auto& [key, partition] : partitions_) {
-        if (BroadcastMatches(b, key)) {
-          per_partition[partition.get()].push_back(e);
-        }
-      }
-      broadcast_buffer_.push_back(std::move(b));
-    }
-  }
-  for (auto& [partition, events] : per_partition) {
-    Partition* p = partition;
-    std::vector<Event>* ev = &events;
-    GRETA_TM(tm_deliveries_ += ev->size());
-    pool_->Submit([this, p, ev] {
-      for (const Event& e : *ev) DeliverToPartition(p, e);
-    });
-  }
-  pool_->WaitIdle();
-  batch_.clear();
-}
-
 Status GretaEngine::Flush() {
-  if (pool_ != nullptr) FlushBatch();
   if (!saw_events_) return Status::Ok();
   if (plan_->window.unbounded()) {
     if (!flushed_unbounded_) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/memory.h"
-#include "common/thread_pool.h"
 #include "core/engine_interface.h"
 #include "core/greta_graph.h"
 #include "core/plan.h"
@@ -20,9 +19,6 @@ namespace greta {
 struct EngineOptions {
   CounterMode counter_mode = CounterMode::kExact;
   Semantics semantics = Semantics::kSkipTillAnyMatch;
-  /// >1 enables parallel processing of event trend groups (Section 7);
-  /// events of one timestamp are micro-batched and dispatched per partition.
-  int num_threads = 1;
   int max_windows_per_event = 64;
   /// Ablation knob (bench_ablation): disable tree-indexed predecessor range
   /// queries and fall back to scan + filter.
@@ -107,8 +103,8 @@ class GretaEngine : public EngineInterface {
 
   /// Cumulative per-query EXPLAIN ANALYZE tallies, one slot per query slot
   /// (slot index == query_id; the sharing layer re-maps slots to workload
-  /// query ids). Updated once per window close with plain members on the
-  /// serial path — zero per-event cost. Structural counters are
+  /// query ids). Updated once per window close with plain members — zero
+  /// per-event cost. Structural counters are
   /// cluster-attributed (see QueryExecStats); rows_emitted is exact per
   /// slot. Empty until the first window closes.
   const std::vector<QueryExecStats>& query_exec_stats() const {
@@ -202,15 +198,13 @@ class GretaEngine : public EngineInterface {
   Partition* GetOrCreatePartition(const std::vector<Value>& key, SeqNo upto);
   bool BroadcastMatches(const BroadcastEvent& b,
                         const std::vector<Value>& key) const;
-  void FlushBatch();
   void RefreshAggregateStats();
 
   const Catalog* catalog_;
   std::unique_ptr<ExecPlan> plan_;
   EngineOptions options_;
   MemoryTracker own_memory_;
-  MemoryTracker* memory_;             // EngineOptions::memory, or own_memory_
-  std::unique_ptr<ThreadPool> pool_;  // null when single-threaded
+  MemoryTracker* memory_;  // EngineOptions::memory, or own_memory_
   // Shared by every partition's graphs; declared after the tracker it
   // charges (its destructor releases the pooled bytes) and before the
   // partitions. On the heap because inline it would push sizeof(*this)
@@ -239,10 +233,6 @@ class GretaEngine : public EngineInterface {
   std::vector<RunGroup> run_groups_;
   size_t run_groups_used_ = 0;
   uint32_t route_epoch_ = 0;
-
-  // Micro-batch of the current timestamp (parallel mode only).
-  std::vector<Event> batch_;
-  Ts batch_ts_ = kMinTs;
 
   Ts watermark_ = kMinTs;
   bool saw_events_ = false;
@@ -305,17 +295,15 @@ class GretaEngine : public EngineInterface {
   Instruments tm_;
   // Graphs per kernel kind delivered per (event, partition): dispatch
   // counts are kernel_per_delivery_[k] * deliveries. Deliveries accumulate
-  // in a plain member on the SERIAL routing paths (never inside
-  // DeliverToPartition, which FlushBatch runs on pool threads) and flush
-  // into the registry once per window close — the per-event hot path pays
-  // one non-atomic increment, not an atomic counter update.
+  // in a plain member on the routing paths and flush into the registry once
+  // per window close — the per-event hot path pays one non-atomic
+  // increment, not an atomic counter update.
   uint64_t kernel_per_delivery_[kNumPropKernels] = {};
   uint64_t tm_deliveries_ = 0;
   uint64_t tm_prev_deliveries_ = 0;
   // Batch rows forced onto the per-event scalar schedule by negation
   // (DeliverBatchToPartition's multi-graph path never reaches the graphs'
-  // own InsertBatch tally). Counted once per (row, alternative); serial
-  // routing path only.
+  // own InsertBatch tally). Counted once per (row, alternative).
   size_t batch_negation_rows_ = 0;
   // Last flushed cumulative batch counters (summed across all graphs);
   // EmitWindow adds the delta into the registry, like kernel_dispatch.

@@ -35,12 +35,9 @@ bool CloseEnough(double a, double b) {
 }  // namespace
 
 int CompareGroups(const Value* a, size_t na, const Value* b, size_t nb) {
-  auto is_nan = [](const Value& v) {
-    return v.kind() == Value::Kind::kDouble && std::isnan(v.AsDouble());
-  };
   for (size_t i = 0; i < std::min(na, nb); ++i) {
-    const bool a_nan = is_nan(a[i]);
-    const bool b_nan = is_nan(b[i]);
+    const bool a_nan = a[i].is_nan();
+    const bool b_nan = b[i].is_nan();
     if (a_nan || b_nan) {
       if (a_nan != b_nan) return a_nan ? 1 : -1;
       continue;

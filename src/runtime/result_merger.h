@@ -20,7 +20,7 @@ namespace greta::runtime {
 /// appear on several (the partition key may extend the GROUP-BY key with
 /// equivalence attributes). The merger:
 ///
-///  1. collects rows staged by each shard's pinned worker (one lightly
+///  1. collects rows staged by each shard's worker thread (one lightly
 ///     contended mutex per shard — worker and harvester only);
 ///  2. gates emission on the LOW WATERMARK, the minimum over per-shard
 ///     ingest clocks published AFTER the shard staged everything it will
@@ -50,7 +50,7 @@ class ResultMerger {
   ResultMerger(size_t num_shards, std::vector<WindowSpec> emission_windows,
                std::vector<AggPlan> agg_plans);
 
-  // --- shard-worker side (shard s's pinned worker only) ---
+  // --- shard-worker side (shard s's worker thread only) ---
 
   /// Stages rows of `query` emitted by shard `shard`.
   void Stage(size_t shard, size_t query, std::vector<ResultRow> rows);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -28,6 +29,11 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
     const ShardedOptions& options) {
   if (workload.empty()) {
     return Status::InvalidArgument("sharded runtime needs at least one query");
+  }
+  if (options.num_shards > kMaxShards) {
+    return Status::InvalidArgument(
+        "num_shards " + std::to_string(options.num_shards) +
+        " exceeds the maximum of " + std::to_string(kMaxShards));
   }
   StatusOr<ShardRouter> router =
       ShardRouter::Create(workload, *catalog, options.num_shards,
@@ -117,10 +123,10 @@ StatusOr<std::unique_ptr<ShardedRuntime>> ShardedRuntime::Create(
   rt->tm_trace_ = reg.TraceIf();
 #endif
 
-  rt->pool_ = std::make_unique<ThreadPool>(num_shards);
   ShardedRuntime* raw = rt.get();
+  rt->workers_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    rt->pool_->SubmitPinned(s, [raw, s] { raw->DrainLoop(s); });
+    rt->workers_.emplace_back([raw, s] { raw->DrainLoop(s); });
   }
   return rt;
 }
@@ -130,7 +136,8 @@ ShardedRuntime::~ShardedRuntime() {
   for (std::unique_ptr<Shard>& shard : shards_) {
     if (shard->queue != nullptr) shard->queue->Close();
   }
-  pool_.reset();  // joins the drain loops before shards_/merger_ die
+  // Join the drain loops before shards_/merger_ die.
+  for (std::thread& worker : workers_) worker.join();
 }
 
 Status ShardedRuntime::Process(const Event& e) {

@@ -5,10 +5,10 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/memory.h"
-#include "common/thread_pool.h"
 #include "core/engine.h"
 #include "runtime/health.h"
 #include "runtime/result_merger.h"
@@ -18,10 +18,17 @@
 
 namespace greta::runtime {
 
+/// Upper bound on ShardedOptions::num_shards. Every shard starts one OS
+/// thread and builds a full engine, and the count arrives from workload
+/// files, so Create rejects anything larger before starting a thread. The
+/// single router thread saturates long before this bound (4 -> 8 shards
+/// gained ~2% on a 4-vCPU host, ROADMAP item 1).
+inline constexpr size_t kMaxShards = 64;
+
 /// Options of the sharded parallel runtime.
 struct ShardedOptions {
-  /// Requested shard count; clamped to 1 when the workload has no common
-  /// partition key (ShardRouter).
+  /// Requested shard count, at most kMaxShards; clamped to 1 when the
+  /// workload has no common partition key (ShardRouter).
   size_t num_shards = 1;
   /// Events per ingest batch: a shard's pending events are enqueued to its
   /// SPSC queue once this many accumulate (or on heartbeat / Flush).
@@ -35,9 +42,7 @@ struct ShardedOptions {
   /// keeps advancing. 0 disables heartbeats (emission then waits for batch
   /// fills and Flush).
   size_t heartbeat_events = 1024;
-  /// Per-shard workload options. `engine.num_threads` should stay 1: the
-  /// runtime's parallelism is across shards, and nested per-engine pools
-  /// would oversubscribe cores. Each shard accounts into its own tracker,
+  /// Per-shard workload options. Each shard accounts into its own tracker,
   /// rolled up workload-wide (memory()); `engine.memory`, when set, becomes
   /// the parent of that roll-up and must outlive the runtime.
   sharing::SharedEngineOptions workload;
@@ -48,7 +53,7 @@ struct ShardedOptions {
 /// and receiving the slice of the stream that hashes to it.
 ///
 ///   Process(e) ── ShardRouter ──> per-shard SPSC batch queues
-///                                   │ (pinned worker per shard)
+///                                   │ (one worker thread per shard)
 ///                                   ▼
 ///                    GretaEngine / SharedWorkloadEngine per shard
 ///                    (own pane arenas, own MemoryTracker, rolled up)
@@ -245,8 +250,8 @@ class ShardedRuntime : public EngineInterface {
   std::vector<int> route_scratch_;  // per-row ShardOfRows decisions
 
   // Destruction order matters: workers reference shards_ and merger_, so
-  // pool_ (declared last) is destroyed first — the destructor closes every
-  // queue beforehand so the drain loops exit.
+  // the destructor closes every queue and joins workers_ before any member
+  // dies.
   MemoryTracker total_memory_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ResultMerger> merger_;
@@ -281,7 +286,7 @@ class ShardedRuntime : public EngineInterface {
   // the caller's batches carry no arrival column.
   bool tm_stamp_arrivals_ = false;
 
-  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::thread> workers_;  // one DrainLoop per shard
 };
 
 }  // namespace greta::runtime

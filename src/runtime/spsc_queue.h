@@ -14,7 +14,7 @@ namespace greta::runtime {
 
 /// Bounded single-producer / single-consumer queue used as a shard's batched
 /// ingest channel: the router thread pushes event batches, the shard's
-/// pinned worker pops them.
+/// worker thread pops them.
 ///
 /// The fast paths are lock-free (a power-of-two ring indexed by monotonically
 /// increasing head/tail counters with acquire/release publication); the

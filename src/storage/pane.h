@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -307,9 +306,8 @@ class PaneStore {
 /// partitions leaves nothing pooled one window close after its panes
 /// expire.
 ///
-/// Take() may run on several delivery threads at once (parallel partition
-/// processing); Put() and Trim() run on the engine's serial path. A mutex
-/// covers all three — one uncontended lock per pane, not per event.
+/// Owned by one engine and used only by the thread driving it (parallelism
+/// is across engines, one per shard: src/runtime/), so it takes no lock.
 template <typename V>
 class PanePool {
  public:
@@ -325,7 +323,6 @@ class PanePool {
   /// is a stack (Take pops the most recently pooled pane), so those are
   /// the `idle_` bottom entries.
   void Trim() {
-    std::lock_guard<std::mutex> lock(mu_);
     const size_t n = std::min(idle_, free_.size());
     size_t freed = 0;
     for (size_t i = 0; i < n; ++i) freed += free_[i].mapped().bytes;
@@ -359,7 +356,6 @@ class PanePool {
 
   // An empty node means the caller creates the pane fresh.
   Node Take() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (free_.empty()) {
       ++created_;
       return Node();
@@ -373,13 +369,11 @@ class PanePool {
   }
 
   void Put(Node node) {
-    std::lock_guard<std::mutex> lock(mu_);
     bytes_ += node.mapped().bytes;
     free_.push_back(std::move(node));
   }
 
   MemoryTracker* memory_;
-  std::mutex mu_;
   std::vector<Node> free_;
   size_t idle_ = 0;  // low-water mark of free_.size() since the last Trim
   size_t bytes_ = 0;

@@ -31,7 +31,7 @@ namespace greta::workload {
 ///       "counter_mode": "exact" | "modular",
 ///       "semantics": "skip-till-any-match" | "skip-till-next-match"
 ///                    | "contiguous",
-///       "num_threads": 1, "max_windows_per_event": 64,
+///       "max_windows_per_event": 64,
 ///       "enable_tree_ranges": true, "enable_pruning": true,
 ///       "enable_specialized_kernels": true
 ///     },
@@ -69,6 +69,8 @@ namespace greta::workload {
 /// shifts that trigger re-planning. "telemetry.serve" asks the driver to
 /// start the embedded observability endpoint (telemetry/http_server.h) on
 /// "http_port" (0 = ephemeral; the driver prints the bound port).
+/// "runtime.num_shards" above runtime::kMaxShards parses, but
+/// ShardedRuntime::Create rejects it before starting any shard thread.
 ///
 /// Unknown keys are rejected (typos in a workload file must not silently
 /// fall back to defaults). A "dataset" of kind "stock" registers the stock

@@ -1,14 +1,14 @@
 // Unit tests for the common substrate: values, string interning, catalogs,
-// events, streams, status, memory tracking, and the thread pool.
+// events, streams, status and memory tracking.
 
-#include <atomic>
+#include <cstdint>
+#include <limits>
 
 #include "common/catalog.h"
 #include "common/event.h"
 #include "common/memory.h"
 #include "common/status.h"
 #include "common/stream.h"
-#include "common/thread_pool.h"
 #include "common/value.h"
 #include "gtest/gtest.h"
 
@@ -32,6 +32,35 @@ TEST(ValueTest, NumericCoercionInComparison) {
   EXPECT_LT(Value::Int(2).Compare(Value::Double(2.5)), 0);
   EXPECT_GT(Value::Double(3.0).Compare(Value::Int(2)), 0);
   EXPECT_EQ(Value::Int(2).Hash(), Value::Double(2.0).Hash());
+}
+
+TEST(ValueTest, NanKeysAreOneKey) {
+  // operator== keeps IEEE semantics; key equality and hashing treat every
+  // NaN (any sign or payload) as one partition / group key.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Value a = Value::Double(nan);
+  const Value b = Value::Double(-nan);
+  EXPECT_TRUE(a.is_nan());
+  EXPECT_FALSE(Value::Int(0).is_nan());
+  EXPECT_FALSE(a == b);
+  EXPECT_TRUE(SameKey(a, b));
+  EXPECT_FALSE(SameKey(a, Value::Double(1.0)));
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_TRUE(ValueVecEq()({Value::Int(1), a}, {Value::Double(1.0), b}));
+  EXPECT_EQ(ValueVecHash()({Value::Int(1), a}),
+            ValueVecHash()({Value::Double(1.0), b}));
+}
+
+TEST(ValueTest, HashOfDoublesOutsideInt64Range) {
+  // Only doubles inside int64's range go through the integral cast; the
+  // rest (+-inf, huge magnitudes) hash as doubles.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value::Double(inf).Hash(), Value::Double(inf).Hash());
+  EXPECT_NE(Value::Double(inf).Hash(), Value::Double(-inf).Hash());
+  EXPECT_EQ(Value::Double(0x1p63).Hash(), Value::Double(0x1p63).Hash());
+  EXPECT_EQ(Value::Double(-0x1p63).Hash(),
+            Value::Int(std::numeric_limits<int64_t>::min()).Hash());
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Int(0).Hash());
 }
 
 TEST(ValueTest, StringEqualityById) {
@@ -142,27 +171,6 @@ TEST(MemoryTrackerTest, TracksCurrentAndPeak) {
   tracker.Reset();
   EXPECT_EQ(tracker.current_bytes(), 0u);
   EXPECT_EQ(tracker.peak_bytes(), 0u);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 2);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "baselines/flink_flat.h"
 #include "baselines/sase.h"
 #include "gtest/gtest.h"
+#include "runtime/sharded_runtime.h"
 #include "tests/test_util.h"
 
 namespace greta {
@@ -196,10 +197,19 @@ TEST(ParallelEngineTest, MultiThreadedGroupsMatchSingleThreaded) {
   auto serial = MakeGreta(catalog.get(), spec.Clone());
   std::vector<ResultRow> serial_rows = RunEngine(serial.get(), stream);
 
-  EngineOptions parallel_options;
-  parallel_options.num_threads = 4;
-  auto parallel = MakeGreta(catalog.get(), spec.Clone(), parallel_options);
-  std::vector<ResultRow> parallel_rows = RunEngine(parallel.get(), stream);
+  // Groups processed in parallel: a 4-shard runtime, one thread per shard.
+  std::vector<QuerySpec> workload;
+  workload.push_back(spec.Clone());
+  runtime::ShardedOptions parallel_options;
+  parallel_options.num_shards = 4;
+  parallel_options.batch_size = 8;
+  parallel_options.heartbeat_events = 16;
+  auto parallel =
+      runtime::ShardedRuntime::Create(catalog.get(), workload, parallel_options);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  ASSERT_EQ(parallel.value()->num_shards(), 4u);
+  std::vector<ResultRow> parallel_rows =
+      RunEngine(parallel.value().get(), stream);
 
   std::string diff;
   EXPECT_TRUE(RowsEquivalent(serial_rows, parallel_rows, serial->agg_plan(),

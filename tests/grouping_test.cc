@@ -2,8 +2,12 @@
 // stream partitioning, GROUP-BY projection, and broadcast routing of event
 // types lacking key attributes (Q3's accidents).
 
+#include <cmath>
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "query/parser.h"
+#include "runtime/sharded_runtime.h"
 #include "tests/test_util.h"
 
 namespace greta {
@@ -133,6 +137,89 @@ TEST(GroupingTest, MinMaxMergeAcrossPartitionsOfAGroup) {
   EXPECT_DOUBLE_EQ(rows[0].aggs.min, 10.0);
   EXPECT_DOUBLE_EQ(rows[0].aggs.max, 99.0);
   EXPECT_EQ(rows[0].aggs.type_count.ToDecimal(), "2");
+}
+
+TEST(GroupingTest, NanKeyIsOneGroupPerWindow) {
+  // Regression: NaN != NaN once made every NaN-keyed event open a
+  // partition of its own that was never removed, so this stream emitted
+  // 1980 rows (one per event per window) and its tracked bytes never fell.
+  // Every NaN is one key: the NaN stream must behave exactly like the same
+  // stream keyed by a number, in one engine, in the oracle and in shards.
+  Catalog catalog;
+  for (const char* type : {"A", "B"}) {
+    catalog.DefineType(type, {{"k", Value::Kind::kDouble},
+                              {"x", Value::Kind::kDouble}});
+  }
+  auto spec = ParseQuery(
+      "RETURN k, COUNT(*), SUM(A.x) PATTERN SEQ(A, B) GROUP-BY k "
+      "WITHIN 4 SLIDE 2",
+      &catalog);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  // 1000 events over 100 ticks, A and B alternating.
+  auto make_stream = [&catalog](double k) {
+    Stream stream;
+    for (int i = 0; i < 1000; ++i) {
+      stream.Append(EventBuilder(&catalog, i % 2 == 0 ? "A" : "B", i / 10)
+                        .Set("k", k)
+                        .Set("x", static_cast<double>(i % 7))
+                        .Build());
+    }
+    return stream;
+  };
+  const Stream nan_stream =
+      make_stream(std::numeric_limits<double>::quiet_NaN());
+  const Stream num_stream = make_stream(1.5);
+
+  std::vector<ResultRow> rows =
+      ExpectMatchesOracle(&catalog, spec.value(), nan_stream);
+  ASSERT_EQ(rows.size(), 50u);  // windows [0,4) .. [98,102): one row each
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].wid, static_cast<WindowId>(i));
+    ASSERT_EQ(rows[i].group.size(), 1u);
+    EXPECT_TRUE(std::isnan(rows[i].group[0].ToDouble()));
+  }
+
+  // Same rows and the same memory curve as the numeric key; the windows'
+  // bytes are released once they close. Two watermark advances: the first
+  // closes every window and pools its panes, the second trims the pool.
+  auto nan_engine = MakeGreta(&catalog, spec.value());
+  auto num_engine = MakeGreta(&catalog, spec.value());
+  for (size_t i = 0; i < nan_stream.size(); ++i) {
+    ASSERT_TRUE(nan_engine->Process(nan_stream.events()[i]).ok());
+    ASSERT_TRUE(num_engine->Process(num_stream.events()[i]).ok());
+  }
+  for (Ts now : {Ts{200}, Ts{300}}) {
+    ASSERT_TRUE(nan_engine->AdvanceWatermark(now).ok());
+    ASSERT_TRUE(num_engine->AdvanceWatermark(now).ok());
+  }
+  std::vector<ResultRow> nan_rows = nan_engine->TakeResults();
+  std::vector<ResultRow> num_rows = num_engine->TakeResults();
+  ASSERT_EQ(nan_rows.size(), num_rows.size());
+  for (size_t i = 0; i < nan_rows.size(); ++i) {
+    EXPECT_EQ(nan_rows[i].wid, num_rows[i].wid);
+    EXPECT_EQ(nan_rows[i].aggs.count.ToDecimal(),
+              num_rows[i].aggs.count.ToDecimal());
+    EXPECT_EQ(nan_rows[i].aggs.sum, num_rows[i].aggs.sum);
+  }
+  const MemoryTracker& nan_mem = nan_engine->memory();
+  EXPECT_EQ(nan_mem.peak_bytes(), num_engine->memory().peak_bytes());
+  EXPECT_EQ(nan_mem.current_bytes(), num_engine->memory().current_bytes());
+  EXPECT_LT(nan_mem.current_bytes(), nan_mem.peak_bytes() / 4);
+
+  // The shard router and the merger key groups the same way.
+  std::vector<QuerySpec> workload;
+  workload.push_back(spec.value().Clone());
+  runtime::ShardedOptions options;
+  options.num_shards = 2;
+  auto sharded = runtime::ShardedRuntime::Create(&catalog, workload, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded.value()->num_shards(), 2u);
+  std::vector<ResultRow> sharded_rows =
+      RunEngine(sharded.value().get(), nan_stream);
+  std::string diff;
+  EXPECT_TRUE(RowsEquivalent(sharded_rows, rows,
+                             sharded.value()->agg_plan_for(0), &diff))
+      << "2 shards vs one engine: " << diff;
 }
 
 TEST(GroupingTest, UnknownGroupAttributeIsPlanError) {

@@ -2,11 +2,13 @@
 //  - invalid event pruning (Theorem 5.1) never changes results;
 //  - modular counters equal the exact counters mod 2^64;
 //  - the shared sliding-window graph equals naive per-window replication;
-//  - disabling tree ranges never changes results.
+//  - disabling tree ranges never changes results;
+//  - partition-parallel shards match serial execution.
 
 #include <random>
 
 #include "gtest/gtest.h"
+#include "runtime/sharded_runtime.h"
 #include "storage/window.h"
 #include "tests/test_util.h"
 
@@ -165,7 +167,7 @@ TEST_P(Robustness, TreeRangesNeverChangeResults) {
 
 TEST_P(Robustness, ParallelGroupsMatchSerialWithNegationAndBroadcast) {
   // The full combination: grouping partitions, a leading negation whose
-  // events broadcast into partitions, sliding windows, and a thread pool.
+  // events broadcast into partitions, sliding windows, and shards.
   std::mt19937_64 rng(GetParam() * 977);
   auto catalog = std::make_unique<Catalog>();
   catalog->DefineType("P", {{"v", Value::Kind::kInt},
@@ -199,10 +201,20 @@ TEST_P(Robustness, ParallelGroupsMatchSerialWithNegationAndBroadcast) {
   auto serial = MakeGreta(catalog.get(), spec.Clone());
   std::vector<ResultRow> serial_rows = RunEngine(serial.get(), stream);
 
-  EngineOptions parallel_options;
-  parallel_options.num_threads = 3;
-  auto parallel = MakeGreta(catalog.get(), spec.Clone(), parallel_options);
-  std::vector<ResultRow> parallel_rows = RunEngine(parallel.get(), stream);
+  // X lacks the partition key's `v`, so the router broadcasts it to all
+  // three shards and each shard's engine delivers it to its partitions.
+  std::vector<QuerySpec> workload;
+  workload.push_back(spec.Clone());
+  runtime::ShardedOptions parallel_options;
+  parallel_options.num_shards = 3;
+  parallel_options.batch_size = 8;
+  parallel_options.heartbeat_events = 16;
+  auto parallel =
+      runtime::ShardedRuntime::Create(catalog.get(), workload, parallel_options);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  ASSERT_EQ(parallel.value()->num_shards(), 3u);
+  std::vector<ResultRow> parallel_rows =
+      RunEngine(parallel.value().get(), stream);
 
   std::string diff;
   EXPECT_TRUE(RowsEquivalent(serial_rows, parallel_rows, serial->agg_plan(),

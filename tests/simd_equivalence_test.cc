@@ -40,7 +40,6 @@ constexpr uint8_t kTagStr = 3;
 // The ISA tables worth diffing on this host (scalar is the reference).
 std::vector<std::pair<const char*, const Kernels*>> VectorTables() {
   std::vector<std::pair<const char*, const Kernels*>> tables;
-  if (simd::Sse42Compiled()) tables.push_back({"sse4.2", &simd::Sse42Kernels()});
   if (simd::Avx2Compiled()) tables.push_back({"avx2", &simd::Avx2Kernels()});
   return tables;
 }
@@ -416,7 +415,7 @@ TEST(SimdEngineDifferential, RowsBitIdenticalAcrossIsasAndBatchSizes) {
           "dispatched batch" + tag);
     }
     // Force each compiled ISA (ForceIsa clamps to what the host supports).
-    for (Isa isa : {Isa::kScalar, Isa::kSse42, Isa::kAvx2}) {
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
       simd::ForceIsa(isa);
       ExpectIdenticalRows(want, RunQuery(&catalog, query, stream, 256, true),
                           std::string("forced ") +

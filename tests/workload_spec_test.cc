@@ -304,6 +304,25 @@ TEST(WorkloadSpec, LoadedSpecDrivesShardedRuntime) {
   EXPECT_GT(rows, 0u);
 }
 
+TEST(WorkloadSpec, ShardCountAboveCapIsRejectedBeforeAnyThreadStarts) {
+  // One past the cap: even if the check were missing, this starts a
+  // bounded number of threads.
+  Catalog catalog;
+  RegisterStockTypes(&catalog);
+  const std::string json =
+      R"({"queries": ["RETURN sector, COUNT(*) PATTERN Stock S+ )"
+      R"(WHERE [company, sector] GROUP-BY sector WITHIN 10 SLIDE 5"],)"
+      R"( "runtime": {"num_shards": )" +
+      std::to_string(runtime::kMaxShards + 1) + "}}";
+  auto spec = workload::ParseWorkloadSpec(json, &catalog);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec.value().runtime.num_shards, runtime::kMaxShards + 1);
+  auto rt = runtime::ShardedRuntime::Create(&catalog, spec.value().queries,
+                                            spec.value().runtime);
+  ASSERT_FALSE(rt.ok());
+  EXPECT_EQ(rt.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(WorkloadSpec, LoadsFromFile) {
   Catalog catalog;
   std::string path = ::testing::TempDir() + "/greta_workload_spec.json";
