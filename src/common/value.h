@@ -131,21 +131,14 @@ class Value {
       case Kind::kNull:
         return 0x9e3779b97f4a7c15ULL;
       case Kind::kInt:
-        return HashInt(int_);
-      case Kind::kDouble: {
-        // Hash ints and integral doubles identically so mixed-kind group
-        // keys that compare equal also hash equal. The cast is defined
-        // only inside int64's range; NaN, +-inf and larger magnitudes
-        // skip it, and every NaN hashes alike (SameKey equates them).
-        const double d = dbl_;
-        if (d >= -0x1p63 && d < 0x1p63) {
-          const int64_t as_int = static_cast<int64_t>(d);
-          if (static_cast<double>(as_int) == d) return HashInt(as_int);
-        } else if (std::isnan(d)) {
-          return 0x7ff8000000000000ULL;
+        // Past 2^53 an int equals (operator==) the double it rounds to, so
+        // it hashes as that double; below, the two paths agree anyway.
+        if (int_ > (int64_t{1} << 53) || int_ < -(int64_t{1} << 53)) {
+          return HashNumber(static_cast<double>(int_));
         }
-        return HashDouble(d);
-      }
+        return HashInt(int_);
+      case Kind::kDouble:
+        return HashNumber(dbl_);
       case Kind::kStr:
         return HashInt(0x5bd1e995LL ^ str_);
     }
@@ -157,6 +150,19 @@ class Value {
 
  private:
   static size_t HashInt(int64_t v) { return std::hash<int64_t>()(v); }
+  // Hash ints and integral doubles identically so mixed-kind keys that
+  // compare equal also hash equal. The cast is defined only inside int64's
+  // range; NaN, +-inf and larger magnitudes skip it, and every NaN hashes
+  // alike (SameKey equates them).
+  static size_t HashNumber(double d) {
+    if (d >= -0x1p63 && d < 0x1p63) {
+      const int64_t as_int = static_cast<int64_t>(d);
+      if (static_cast<double>(as_int) == d) return HashInt(as_int);
+    } else if (std::isnan(d)) {
+      return 0x7ff8000000000000ULL;
+    }
+    return HashDouble(d);
+  }
   // Out-of-line (value.cc): doubles hash through std::hash's byte mixer and
   // non-integral doubles are rare in partition keys.
   static size_t HashDouble(double v);
@@ -176,6 +182,14 @@ inline bool SameKey(const Value& a, const Value& b) {
   return a == b || (a.is_nan() && b.is_nan());
 }
 
+/// SameKey over the first `n` values of two keys.
+inline bool SameKeys(const Value* a, const Value* b, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!SameKey(a[i], b[i])) return false;
+  }
+  return true;
+}
+
 /// Hash / equality over value vectors (partition keys, group keys), shared
 /// by the engine's partition map, the baselines, the shard router and the
 /// result merger — one combine, so they can never hash differently.
@@ -189,11 +203,7 @@ struct ValueVecHash {
 struct ValueVecEq {
   bool operator()(const std::vector<Value>& a,
                   const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!SameKey(a[i], b[i])) return false;
-    }
-    return true;
+    return a.size() == b.size() && SameKeys(a.data(), b.data(), a.size());
   }
 };
 

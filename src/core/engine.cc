@@ -317,12 +317,6 @@ void GretaEngine::EmitWindow(WindowId wid) {
               if (c != 0) return c < 0;
               return a.out < b.out;
             });
-  auto same_group = [ng](const Value* a, const Value* b) {
-    for (size_t i = 0; i < ng; ++i) {
-      if (!(a[i] == b[i])) return false;
-    }
-    return true;
-  };
   for (size_t i = 0; i < emit_entries_.size();) {
     const EmitEntry& first = emit_entries_[i];
     const size_t q = first.q;
@@ -334,7 +328,7 @@ void GretaEngine::EmitWindow(WindowId wid) {
     row.aggs.Merge(emit_outs_[first.out], qagg);
     size_t j = i + 1;
     for (; j < emit_entries_.size() && emit_entries_[j].q == q &&
-           same_group(emit_entries_[j].key, first.key);
+           SameKeys(emit_entries_[j].key, first.key, ng);
          ++j) {
       row.aggs.Merge(emit_outs_[emit_entries_[j].out], qagg);
     }

@@ -139,8 +139,9 @@ std::string FormatRow(const ResultRow& row, const std::vector<AggSpec>& specs,
 /// that a NaN sorts after every number and equal to another NaN (Compare
 /// alone calls NaN equal to everything, which is no strict weak order),
 /// then shorter first. SortRows, GretaEngine's window emit and the sharded
-/// ResultMerger all order groups by it. Rows merge only on equal keys
-/// (operator==), so NaN groups stay apart, as under a hash merge.
+/// ResultMerger all order groups by it; the emit and the merger then fold
+/// adjacent rows whose keys are equal under SameKey (all NaNs are one key),
+/// as a hash merge keyed by ValueVecHash / ValueVecEq would.
 int CompareGroups(const Value* a, size_t na, const Value* b, size_t nb);
 inline int CompareGroups(const std::vector<Value>& a,
                          const std::vector<Value>& b) {

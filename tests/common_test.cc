@@ -53,7 +53,8 @@ TEST(ValueTest, NanKeysAreOneKey) {
 
 TEST(ValueTest, HashOfDoublesOutsideInt64Range) {
   // Only doubles inside int64's range go through the integral cast; the
-  // rest (+-inf, huge magnitudes) hash as doubles.
+  // rest (+-inf, huge magnitudes) hash as doubles. Every pair equal under
+  // operator== hashes alike.
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(Value::Double(inf).Hash(), Value::Double(inf).Hash());
   EXPECT_NE(Value::Double(inf).Hash(), Value::Double(-inf).Hash());
@@ -61,6 +62,14 @@ TEST(ValueTest, HashOfDoublesOutsideInt64Range) {
   EXPECT_EQ(Value::Double(-0x1p63).Hash(),
             Value::Int(std::numeric_limits<int64_t>::min()).Hash());
   EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Int(0).Hash());
+  // Ints past 2^53 equal the double they round to and hash like it, at
+  // int64's top edge too (INT64_MAX rounds to 2^63, outside the cast).
+  const Value big_int = Value::Int((int64_t{1} << 53) + 1);
+  ASSERT_TRUE(big_int == Value::Double(0x1p53));
+  EXPECT_EQ(big_int.Hash(), Value::Double(0x1p53).Hash());
+  const Value max_int = Value::Int(std::numeric_limits<int64_t>::max());
+  ASSERT_TRUE(max_int == Value::Double(0x1p63));
+  EXPECT_EQ(max_int.Hash(), Value::Double(0x1p63).Hash());
 }
 
 TEST(ValueTest, StringEqualityById) {

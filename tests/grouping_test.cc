@@ -222,6 +222,76 @@ TEST(GroupingTest, NanKeyIsOneGroupPerWindow) {
       << "2 shards vs one engine: " << diff;
 }
 
+TEST(GroupingTest, NanGroupKeyFoldsEveryPartitionOfTheGroup) {
+  // Partition key [company, sector] is longer than GROUP-BY sector: eight
+  // companies share sector NaN, so each window holds eight NaN partitions
+  // that must fold into one NaN row — in one engine's emit, in the oracle
+  // and in the sharded merger — exactly as they do for a numeric sector.
+  Catalog catalog;
+  for (const char* type : {"A", "B"}) {
+    catalog.DefineType(type, {{"company", Value::Kind::kInt},
+                              {"sector", Value::Kind::kDouble},
+                              {"x", Value::Kind::kDouble}});
+  }
+  auto spec = ParseQuery(
+      "RETURN sector, COUNT(*), SUM(A.x) PATTERN SEQ(A, B) "
+      "WHERE [company, sector] GROUP-BY sector WITHIN 4 SLIDE 2",
+      &catalog);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  constexpr int kCompanies = 8;
+  auto make_stream = [&catalog](double sector) {
+    Stream stream;
+    for (int i = 0; i < 320; ++i) {
+      stream.Append(EventBuilder(&catalog, i % 2 == 0 ? "A" : "B", i / 16)
+                        .Set("company", static_cast<int64_t>(i / 2 % kCompanies))
+                        .Set("sector", sector)
+                        .Set("x", static_cast<double>(i % 5))
+                        .Build());
+    }
+    return stream;
+  };
+  const Stream nan_stream =
+      make_stream(std::numeric_limits<double>::quiet_NaN());
+  const Stream num_stream = make_stream(2.0);
+
+  std::vector<ResultRow> rows =
+      ExpectMatchesOracle(&catalog, spec.value(), nan_stream);
+  std::vector<ResultRow> num_rows =
+      ExpectMatchesOracle(&catalog, spec.value(), num_stream);
+  ASSERT_EQ(rows.size(), num_rows.size());
+  ASSERT_EQ(rows.size(), 10u);  // windows [0,4) .. [18,22): one row each
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].wid, num_rows[i].wid);
+    ASSERT_EQ(rows[i].group.size(), 1u);
+    EXPECT_TRUE(std::isnan(rows[i].group[0].ToDouble()));
+    EXPECT_EQ(rows[i].aggs.count.ToDecimal(),
+              num_rows[i].aggs.count.ToDecimal());
+    EXPECT_EQ(rows[i].aggs.sum, num_rows[i].aggs.sum);
+  }
+
+  std::vector<QuerySpec> workload;
+  workload.push_back(spec.value().Clone());
+  runtime::ShardedOptions options;
+  options.num_shards = 2;
+  auto sharded = runtime::ShardedRuntime::Create(&catalog, workload, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded.value()->num_shards(), 2u);
+  // Both shards hold NaN partitions, so the merger has rows to fold.
+  bool shard_used[2] = {false, false};
+  for (const Event& e : nan_stream.events()) {
+    const int shard = sharded.value()->router().ShardOf(e);
+    ASSERT_GE(shard, 0);
+    shard_used[shard] = true;
+  }
+  ASSERT_TRUE(shard_used[0] && shard_used[1]);
+  std::vector<ResultRow> sharded_rows =
+      RunEngine(sharded.value().get(), nan_stream);
+  std::string diff;
+  EXPECT_TRUE(RowsEquivalent(sharded_rows, rows,
+                             sharded.value()->agg_plan_for(0), &diff))
+      << "2 shards vs one engine: " << diff;
+}
+
 TEST(GroupingTest, UnknownGroupAttributeIsPlanError) {
   auto catalog = GroupCatalog();
   auto spec = ParseQuery("RETURN COUNT(*) PATTERN S+ GROUP-BY nothere",
