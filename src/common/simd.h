@@ -51,12 +51,6 @@ struct CmpConst {
   int64_t rhs_i = 0;    // int rhs payload, or string rhs id
 };
 
-/// Result pair of the fused range-mask + count fold.
-struct MaskedSum {
-  uint64_t sum = 0;    // wrapping sum of admitted nonzero counts
-  uint64_t lanes = 0;  // number of admitted entries with a nonzero count
-};
-
 /// The per-ISA kernel table. Every entry is semantically EXACT against the
 /// scalar loop it replaces — including NaN, null rejection, exact int/int
 /// ordering, and the strict/non-strict bound asymmetries — so dispatch is
@@ -75,15 +69,6 @@ struct Kernels {
   size_t (*range_select)(const double* keys, uint32_t begin, uint32_t end,
                          double lo, bool lo_strict, double hi, bool hi_strict,
                          uint32_t* out);
-
-  /// Fused range mask + modular COUNT fold over dense (key, count) lanes:
-  /// for j in [begin,end) admitted by the bounds (same tests as
-  /// range_select) with counts[j] != 0, adds counts[j] into sum (wrapping
-  /// uint64, which is associative, so lane order cannot change the result)
-  /// and bumps lanes.
-  MaskedSum (*masked_count_sum)(const double* keys, const uint64_t* counts,
-                                uint32_t begin, uint32_t end, double lo,
-                                bool lo_strict, double hi, bool hi_strict);
 
   /// B+-tree leaf skip phase: first i in [0,n) where NOT
   /// (strict ? keys[i] <= lo : keys[i] < lo); n when every key skips.

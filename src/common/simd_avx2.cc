@@ -177,43 +177,6 @@ size_t RangeSelect(const double* keys, uint32_t begin, uint32_t end,
   return n;
 }
 
-MaskedSum MaskedCountSum(const double* keys, const uint64_t* counts,
-                         uint32_t begin, uint32_t end, double lo,
-                         bool lo_strict, double hi, bool hi_strict) {
-  const __m256d vlo = _mm256_set1_pd(lo);
-  const __m256d vhi = _mm256_set1_pd(hi);
-  __m256i acc = _mm256_setzero_si256();
-  MaskedSum r;
-  uint32_t j = begin;
-  for (; j + 4 <= end; j += 4) {
-    const __m256d k = _mm256_loadu_pd(keys + j);
-    const __m256i admit = _mm256_castpd_si256(
-        AdmitMask(k, vlo, lo_strict, vhi, hi_strict));
-    const __m256i c = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(counts + j));
-    // Wrapping uint64 addition is associative, so masked vector lanes and
-    // a horizontal fold produce the scalar loop's exact sum.
-    acc = _mm256_add_epi64(acc, _mm256_and_si256(c, admit));
-    const __m256i nz = _mm256_xor_si256(
-        _mm256_cmpeq_epi64(c, _mm256_setzero_si256()),
-        _mm256_set1_epi64x(-1));
-    const int m = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_and_si256(admit, nz)));
-    r.lanes += static_cast<uint64_t>(__builtin_popcount(
-        static_cast<unsigned>(m)));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  r.sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; j < end; ++j) {
-    if (!detail::KeyAdmitted(keys[j], lo, lo_strict, hi, hi_strict)) continue;
-    if (counts[j] == 0) continue;
-    r.sum += counts[j];
-    ++r.lanes;
-  }
-  return r;
-}
-
 int LeafSkip(const double* keys, int n, double lo, bool strict) {
   const __m256d vlo = _mm256_set1_pd(lo);
   int i = 0;
@@ -297,7 +260,7 @@ void SplitMixBulk(uint64_t* h, size_t n) {
 
 const Kernels& Avx2Kernels() {
   static const Kernels k = {
-      &FilterSel, &RangeSelect, &MaskedCountSum, &LeafSkip,
+      &FilterSel, &RangeSelect, &LeafSkip,
       &LeafStop,  &RunSplit,    &SplitMixBulk,
   };
   return k;

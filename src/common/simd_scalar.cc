@@ -8,9 +8,8 @@ namespace greta::simd {
 // to this table to produce the reference rows.
 const Kernels& ScalarKernels() {
   static const Kernels k = {
-      &detail::FilterSel,      &detail::RangeSelect, &detail::MaskedCountSum,
-      &detail::LeafSkip,       &detail::LeafStop,    &detail::RunSplit,
-      &detail::SplitMixBulk,
+      &detail::FilterSel, &detail::RangeSelect, &detail::LeafSkip,
+      &detail::LeafStop,  &detail::RunSplit,    &detail::SplitMixBulk,
   };
   return k;
 }

@@ -100,19 +100,6 @@ inline size_t RangeSelect(const double* keys, uint32_t begin, uint32_t end,
   return n;
 }
 
-inline MaskedSum MaskedCountSum(const double* keys, const uint64_t* counts,
-                                uint32_t begin, uint32_t end, double lo,
-                                bool lo_strict, double hi, bool hi_strict) {
-  MaskedSum r;
-  for (uint32_t j = begin; j < end; ++j) {
-    if (!KeyAdmitted(keys[j], lo, lo_strict, hi, hi_strict)) continue;
-    if (counts[j] == 0) continue;
-    r.sum += counts[j];  // Wrapping by design (modular COUNT).
-    ++r.lanes;
-  }
-  return r;
-}
-
 inline int LeafSkip(const double* keys, int n, double lo, bool strict) {
   int i = 0;
   while (i < n && (strict ? keys[i] <= lo : keys[i] < lo)) ++i;

@@ -94,10 +94,10 @@ class Counter {
   /// Low 64 bits (exact value when never promoted).
   uint64_t Low64() const { return big_ != nullptr ? big_->Low64() : low_; }
 
-  /// Raw modular lane for the vector kernels. Only meaningful in kModular
-  /// mode, where a counter is exactly its wrapping low 64 bits: the dense
-  /// run-count copy reads this, and the fused masked-sum folds back in via
-  /// AddRaw — both equivalent to a sequence of modular Add()s.
+  /// Raw modular lane for the run kernel's predecessor columns. Only
+  /// meaningful in kModular mode, where a counter is exactly its wrapping
+  /// low 64 bits: the columns copy this, and a column fold adds its wrapping
+  /// sum back via AddRaw — equivalent to a sequence of modular Add()s.
   uint64_t ModularValue() const { return low_; }
   void AddRaw(uint64_t v) { low_ += v; }  // wrapping by design
 

@@ -589,6 +589,7 @@ GretaEngine::Partition* GretaEngine::GetOrCreatePartition(
   auto it = partitions_.find(key);
   if (it != partitions_.end()) return it->second.get();
 
+  if (run_scratch_ == nullptr) run_scratch_ = std::make_unique<RunScratch>();
   auto partition = std::make_unique<Partition>();
   partition->alts.reserve(plan_->alternatives.size());
   for (const AlternativePlan& alt_plan : plan_->alternatives) {
@@ -596,7 +597,7 @@ GretaEngine::Partition* GretaEngine::GetOrCreatePartition(
     for (const GraphPlan& gp : alt_plan.graphs) {
       alt.graphs.push_back(
           std::make_unique<GretaGraph>(&gp, plan_.get(), memory_,
-                                       pane_pool_.get()));
+                                       pane_pool_.get(), run_scratch_.get()));
     }
     // Wire negation links: negative graph i reports into the graph it
     // invalidates (its parent), per its placement case.

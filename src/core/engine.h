@@ -211,6 +211,11 @@ class GretaEngine : public EngineInterface {
   // past glibc's 1032-byte thread-cache limit, and engine creation
   // measured ~1 us slower for it.
   std::unique_ptr<PanePool<GraphVertex>> pane_pool_;
+  // The run kernel's scratch, shared by every partition's graphs like the
+  // pane pool (one thread drives an engine); made with the first partition,
+  // so creating an engine stays one allocation cheaper. Untracked: it holds
+  // nothing between InsertBatch calls.
+  std::unique_ptr<RunScratch> run_scratch_;
 
   std::unordered_map<std::vector<Value>, std::unique_ptr<Partition>,
                      ValueVecHash, ValueVecEq>

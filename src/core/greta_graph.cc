@@ -12,14 +12,16 @@
 namespace greta {
 
 GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
-                       MemoryTracker* memory, PanePool<GraphVertex>* pool)
+                       MemoryTracker* memory, PanePool<GraphVertex>* pool,
+                       RunScratch* scratch)
     : plan_(plan),
       exec_(exec),
       partial_(exec->partial.has_value() ? &*exec->partial : nullptr),
       num_queries_(plan->aggs.empty() ? 1
                                       : static_cast<int>(plan->aggs.size())),
       panes_(PaneSize(exec->window), plan->templ.num_states(), memory, pool),
-      single_window_(MaxWindowsPerEvent(exec->window) == 1) {
+      single_window_(MaxWindowsPerEvent(exec->window) == 1),
+      scratch_(scratch) {
   transition_links_.resize(plan_->templ.transitions().size());
   size_t ring = 1;
   while (ring < static_cast<size_t>(MaxWindowsPerEvent(exec_->window)) + 1) {
@@ -58,8 +60,15 @@ GretaGraph::GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
   // partial clusters to skip-till-any-match).
   batch_plan_ok_ = exec_->enable_batch_kernels &&
                    exec_->semantics == Semantics::kSkipTillAnyMatch;
+  modular_columns_ = partial_ == nullptr;
   for (size_t q = 0; q < static_cast<size_t>(num_queries_); ++q) {
-    any_sum_ |= AggAt(q).need_sum;
+    const AggPlan& agg = AggAt(q);
+    any_sum_ |= agg.need_sum;
+    any_type_count_ |= agg.need_type_count;
+    any_min_ |= agg.need_min;
+    any_max_ |= agg.need_max;
+    modular_columns_ &=
+        agg.mode == CounterMode::kModular && !agg.need_max_start;
   }
   if (batch_plan_ok_) {
     state_filters_.reserve(plan_->states.size());
@@ -519,13 +528,16 @@ void GretaGraph::InsertBatch(const EventBatch& batch, const uint32_t* rows,
     for (size_t i = 0; i < n; ++i) Insert(batch.ref(rows[i]));
     return;
   }
+  RunScratch& rs = *scratch_;
   // Decompose this group's fast-predicate attrs once, group-dense: lane k
   // holds batch row rows[k], so the per-run selections below are runs of
   // consecutive positions and the filter kernels load contiguously instead
   // of gathering partition-strided batch rows.
-  group_proj_ready_ = batch_simd_ && !proj_attrs_.empty();
-  if (group_proj_ready_) group_proj_.ProjectRows(batch, proj_attrs_, rows, n);
-  group_rows_ = rows;
+  rs.group_proj_ready = batch_simd_ && !proj_attrs_.empty();
+  if (rs.group_proj_ready) {
+    rs.group_proj.ProjectRows(batch, proj_attrs_, rows, n);
+  }
+  rs.group_rows = rows;
   // Split into equal-timestamp runs: within a run the strict trend order
   // (Def. 1, u.time < e.time) makes the predecessor set identical for every
   // event, so the run shares one collection and one window-id range.
@@ -534,7 +546,7 @@ void GretaGraph::InsertBatch(const EventBatch& batch, const uint32_t* rows,
     Ts ts = batch.time(rows[i]);
     size_t j = i + 1;
     while (j < n && batch.time(rows[j]) == ts) ++j;
-    run_base_ = i;
+    rs.base = i;
     (this->*insert_run_fn_)(batch, rows + i, j - i, ts);
     i = j;
   }
@@ -544,9 +556,10 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
                                    Ts lo_time, Ts ts, size_t m,
                                    bool lower_only, WindowId first_wid,
                                    WindowId last_wid) {
+  RunScratch& rs = *scratch_;
   const size_t nt = pred_states.size();
-  run_entries_.clear();
-  run_spans_.assign(1, 0);
+  rs.entries.clear();
+  rs.spans.assign(1, 0);
   bool nan_key = false;
   for (size_t t = 0; t < nt; ++t) {
     // The weakest per-event bounds over the run: the minimum lo / maximum hi,
@@ -554,8 +567,8 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
     // event's own scan. Entries outside the run's window range or zero in
     // every shared window can never contribute to any run event and are
     // dropped here once instead of re-tested per event.
-    const double* lo_col = run_lo_.data() + t * m;
-    const uint8_t* lo_strict_col = run_lo_strict_.data() + t * m;
+    const double* lo_col = rs.lo.data() + t * m;
+    const uint8_t* lo_strict_col = rs.lo_strict.data() + t * m;
     KeyBounds collect;
     collect.lo = lo_col[0];
     collect.lo_strict = lo_strict_col[0] != 0;
@@ -567,8 +580,8 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
       }
     }
     if (!lower_only) {
-      const double* hi_col = run_hi_.data() + t * m;
-      const uint8_t* hi_strict_col = run_hi_strict_.data() + t * m;
+      const double* hi_col = rs.hi.data() + t * m;
+      const uint8_t* hi_strict_col = rs.hi_strict.data() + t * m;
       collect.hi = hi_col[0];
       collect.hi_strict = hi_strict_col[0] != 0;
       for (size_t i = 1; i < m; ++i) {
@@ -597,22 +610,122 @@ bool GretaGraph::CollectRunEntries(const std::vector<StateId>& pred_states,
             live = !u->cell(w)->count.IsZero();
           }
           if (!live) return;
-          run_entries_.push_back({key, u});
+          rs.entries.push_back({key, u});
         });
-    run_spans_.push_back(run_entries_.size());
+    rs.spans.push_back(rs.entries.size());
   }
   if (nan_key) return false;
-  run_views_.resize(run_entries_.size());
-  for (size_t i = 0; i < run_entries_.size(); ++i) {
-    run_views_[i] = run_entries_[i].u->view();
+  rs.views.resize(rs.entries.size());
+  for (size_t i = 0; i < rs.entries.size(); ++i) {
+    rs.views[i] = rs.entries[i].u->view();
   }
   return true;
+}
+
+template <PropKernel K>
+void GretaGraph::BuildRunColumns(WindowId first_wid, WindowId last_wid,
+                                 int nq) {
+  RunScratch& rs = *scratch_;
+  const size_t rows = rs.entries.size();
+  const size_t slots = static_cast<size_t>(last_wid - first_wid + 1) * nq;
+  const size_t total = slots * rows;
+  rs.count.assign(total, 0);
+  if constexpr (K == PropKernel::kGeneric) {
+    if (any_type_count_) rs.type_count.assign(total, 0);
+    if (any_sum_) rs.sum.assign(total, 0.0);
+    if (any_min_) rs.min.assign(total, kAggInf);
+    if (any_max_) rs.max.assign(total, -kAggInf);
+  }
+  rs.live.resize(rows);
+  for (size_t j = 0; j < rows; ++j) {
+    const GraphVertex* u = rs.entries[j].u;
+    const WindowId lo_w = std::max(first_wid, u->first_wid);
+    const WindowId hi_w =
+        std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
+    uint32_t live = 0;
+    for (WindowId w = lo_w; w <= hi_w; ++w) {
+      const AggCell* urow = u->cells + (w - u->first_wid) * u->stride;
+      if (urow->count.IsZero()) continue;
+      ++live;
+      size_t at = static_cast<size_t>(w - first_wid) * nq * rows + j;
+      for (int q = 0; q < nq; ++q, at += rows) {
+        rs.count[at] = urow[q].count.ModularValue();
+        if constexpr (K == PropKernel::kGeneric) {
+          if (any_type_count_) {
+            rs.type_count[at] = urow[q].type_count.ModularValue();
+          }
+          if (any_sum_) rs.sum[at] = urow[q].sum;
+          if (any_min_) rs.min[at] = urow[q].min;
+          if (any_max_) rs.max[at] = urow[q].max;
+        }
+      }
+    }
+    rs.live[j] = live;
+  }
+}
+
+template <PropKernel K>
+size_t GretaGraph::FoldRunColumns(const uint32_t* idx, size_t n,
+                                  AggCell* vrow, size_t slots, int nq) const {
+  const RunScratch& rs = *scratch_;
+  const size_t rows = rs.entries.size();
+  for (size_t s = 0; s < slots; ++s) {
+    const size_t base = s * rows;
+    // Modular counts wrap, so one batched add equals the per-edge adds.
+    const uint64_t* count = rs.count.data() + base;
+    uint64_t count_sum = 0;
+    for (size_t f = 0; f < n; ++f) count_sum += count[idx[f]];
+    vrow[s].count.AddRaw(count_sum);
+    if constexpr (K == PropKernel::kGeneric) {
+      const AggPlan& agg = AggAt(s % static_cast<size_t>(nq));
+      if (agg.need_type_count) {
+        const uint64_t* col = rs.type_count.data() + base;
+        uint64_t acc = 0;
+        for (size_t f = 0; f < n; ++f) acc += col[idx[f]];
+        vrow[s].type_count.AddRaw(acc);
+      }
+      if (agg.need_sum) {
+        // Order-sensitive: accumulate into the cell in collection order.
+        const double* col = rs.sum.data() + base;
+        double acc = vrow[s].sum;
+        for (size_t f = 0; f < n; ++f) acc += col[idx[f]];
+        vrow[s].sum = acc;
+      }
+      if (agg.need_min) {
+        const double* col = rs.min.data() + base;
+        double acc = vrow[s].min;
+        for (size_t f = 0; f < n; ++f) {
+          if (col[idx[f]] < acc) acc = col[idx[f]];
+        }
+        vrow[s].min = acc;
+      }
+      if (agg.need_max) {
+        const double* col = rs.max.data() + base;
+        double acc = vrow[s].max;
+        for (size_t f = 0; f < n; ++f) {
+          if (col[idx[f]] > acc) acc = col[idx[f]];
+        }
+        vrow[s].max = acc;
+      }
+    }
+  }
+  // One edge per (admitted entry, nonzero window); single-window runs
+  // collect only entries live in that window.
+  if (slots == static_cast<size_t>(nq)) return n;
+  size_t edges = 0;
+  for (size_t f = 0; f < n; ++f) edges += rs.live[idx[f]];
+  return edges;
 }
 
 template <PropKernel K>
 void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
                                size_t n, Ts ts) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The columnar fold serves the modular non-partial kernels; exact
+  // counters and kPartial fold entry by entry through FoldEdge.
+  constexpr bool kColumnKernel =
+      K == PropKernel::kCountModular || K == PropKernel::kGeneric;
+  RunScratch& rs = *scratch_;
   const size_t num_states = plan_->states.size();
   for (size_t si = 0; si < num_states; ++si) {
     const StateId s = static_cast<StateId>(si);
@@ -620,29 +733,29 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
 
     // Selection vector: run rows of this state's type passing its local
     // predicates (column loops; see predicate/batch_filter.h).
-    run_sel_.clear();
+    rs.sel.clear();
     size_t m;
-    if (group_proj_ready_) {
+    if (rs.group_proj_ready) {
       // Select by consecutive projection lane, filter through the vector
       // kernels, then map surviving positions back to batch rows.
-      run_pos_.clear();
+      rs.pos.clear();
       for (size_t r = 0; r < n; ++r) {
         if (batch.type(rows[r]) == sp.type) {
-          run_pos_.push_back(static_cast<uint32_t>(run_base_ + r));
+          rs.pos.push_back(static_cast<uint32_t>(rs.base + r));
         }
       }
-      if (run_pos_.empty()) continue;
-      m = state_filters_[si].Filter(batch, group_proj_, group_rows_,
-                                    run_pos_.data(), run_pos_.size());
-      run_sel_.resize(m);
-      for (size_t k = 0; k < m; ++k) run_sel_[k] = group_rows_[run_pos_[k]];
+      if (rs.pos.empty()) continue;
+      m = state_filters_[si].Filter(batch, rs.group_proj, rs.group_rows,
+                                    rs.pos.data(), rs.pos.size());
+      rs.sel.resize(m);
+      for (size_t k = 0; k < m; ++k) rs.sel[k] = rs.group_rows[rs.pos[k]];
     } else {
       for (size_t r = 0; r < n; ++r) {
-        if (batch.type(rows[r]) == sp.type) run_sel_.push_back(rows[r]);
+        if (batch.type(rows[r]) == sp.type) rs.sel.push_back(rows[r]);
       }
-      if (run_sel_.empty()) continue;
-      m = state_filters_[si].Filter(batch, run_sel_.data(), run_sel_.size());
-      run_sel_.resize(m);
+      if (rs.sel.empty()) continue;
+      m = state_filters_[si].Filter(batch, rs.sel.data(), rs.sel.size());
+      rs.sel.resize(m);
     }
     if (m == 0) continue;
 
@@ -661,11 +774,11 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     // whether any transition carries residual predicates.
     const std::vector<StateId>& pred_states = plan_->templ.pred_states(s);
     const size_t nt = pred_states.size();
-    run_tidx_.resize(nt);
-    run_lo_.assign(nt * m, -kInf);
-    run_hi_.assign(nt * m, kInf);
-    run_lo_strict_.assign(nt * m, 0);
-    run_hi_strict_.assign(nt * m, 0);
+    rs.tidx.resize(nt);
+    rs.lo.assign(nt * m, -kInf);
+    rs.hi.assign(nt * m, kInf);
+    rs.lo_strict.assign(nt * m, 0);
+    rs.hi_strict.assign(nt * m, 0);
     bool has_residuals = false;
     bool nan_bounds = false;
     bool uniform = true;
@@ -673,23 +786,23 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     for (size_t t = 0; t < nt && !nan_bounds; ++t) {
       int t_idx = plan_->templ.FindTransition(pred_states[t], s);
       GRETA_DCHECK(t_idx >= 0);
-      run_tidx_[t] = t_idx;
+      rs.tidx[t] = t_idx;
       const TransitionPlan& tp = plan_->transitions[t_idx];
       has_residuals |= !tp.residual_preds.empty();
       for (size_t i = 0; i < m; ++i) {
-        KeyBounds b = CombineTransitionBounds(tp, batch.view(run_sel_[i]));
+        KeyBounds b = CombineTransitionBounds(tp, batch.view(rs.sel[i]));
         if (std::isnan(b.lo) || std::isnan(b.hi)) {
           nan_bounds = true;
           break;
         }
         const size_t at = t * m + i;
-        run_lo_[at] = b.lo;
-        run_hi_[at] = b.hi;
-        run_lo_strict_[at] = b.lo_strict ? 1 : 0;
-        run_hi_strict_[at] = b.hi_strict ? 1 : 0;
-        uniform &= b.lo == run_lo_[t * m] && b.hi == run_hi_[t * m] &&
-                   run_lo_strict_[at] == run_lo_strict_[t * m] &&
-                   run_hi_strict_[at] == run_hi_strict_[t * m];
+        rs.lo[at] = b.lo;
+        rs.hi[at] = b.hi;
+        rs.lo_strict[at] = b.lo_strict ? 1 : 0;
+        rs.hi_strict[at] = b.hi_strict ? 1 : 0;
+        uniform &= b.lo == rs.lo[t * m] && b.hi == rs.hi[t * m] &&
+                   rs.lo_strict[at] == rs.lo_strict[t * m] &&
+                   rs.hi_strict[at] == rs.hi_strict[t * m];
         lower_only &= b.hi == kInf && !b.hi_strict;
       }
     }
@@ -727,29 +840,29 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       batch_fallback_rows_[static_cast<size_t>(
           BatchFallbackReason::kBounds)] += m;
       for (size_t i = 0; i < m; ++i) {
-        (this->*insert_fn_)(batch.ref(run_sel_[i]), s);
+        (this->*insert_fn_)(batch.ref(rs.sel[i]), s);
       }
       continue;
     }
 
-    run_cells_.assign(m * cell_stride, AggCell());
-    run_found_.assign(m, 0);
+    rs.cells.assign(m * cell_stride, AggCell());
+    rs.found.assign(m, 0);
     const bool is_start = plan_->templ.IsStart(s);
 
     if (strat == BatchStrategy::kSharedFold) {
       // Every event admits the same entries: fold the bucket once into an
       // accumulator row and copy it into each event's cells.
-      run_acc_.assign(cell_stride, AggCell());
-      AggCell* const acc = run_acc_.data();
+      rs.acc.assign(cell_stride, AggCell());
+      AggCell* const acc = rs.acc.data();
       bool any_entry = false;
       size_t shared_edges = 0;
       for (size_t t = 0; t < nt; ++t) {
         KeyBounds bounds;
-        bounds.lo = run_lo_[t * m];
-        bounds.hi = run_hi_[t * m];
-        bounds.lo_strict = run_lo_strict_[t * m] != 0;
-        bounds.hi_strict = run_hi_strict_[t * m] != 0;
-        const EdgeFold ef = EdgeFoldFor<K>(run_tidx_[t]);
+        bounds.lo = rs.lo[t * m];
+        bounds.hi = rs.hi[t * m];
+        bounds.lo_strict = rs.lo_strict[t * m] != 0;
+        bounds.hi_strict = rs.hi_strict[t * m] != 0;
+        const EdgeFold ef = EdgeFoldFor<K>(rs.tidx[t]);
         panes_.ScanBucket(
             lo_time, ts, static_cast<size_t>(pred_states[t]), bounds,
             [&](GraphVertex* u) {
@@ -772,22 +885,22 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       edges_ += shared_edges * m;
       if (any_entry) {
         for (size_t i = 0; i < m; ++i) {
-          run_found_[i] = 1;
-          AggCell* vrow = run_cells_.data() + i * cell_stride;
+          rs.found[i] = 1;
+          AggCell* vrow = rs.cells.data() + i * cell_stride;
           for (size_t c = 0; c < cell_stride; ++c) vrow[c] = acc[c];
         }
       }
     } else if (strat == BatchStrategy::kSuffixMerge) {
       for (size_t t = 0; t < nt; ++t) {
-        const size_t begin = run_spans_[t];
-        const size_t end = run_spans_[t + 1];
+        const size_t begin = rs.spans[t];
+        const size_t end = rs.spans[t + 1];
         if (begin == end) continue;
         // Entries arrive pane-major: a sliding collection spanning panes is
         // not globally key-sorted, so sort on demand (unstable is fine —
         // equal keys are consumed all-or-none and these folds commute).
-        CollectedEntry* const ents = run_entries_.data();
-        const auto by_key = [](const CollectedEntry& a,
-                               const CollectedEntry& b) {
+        RunScratch::CollectedEntry* const ents = rs.entries.data();
+        const auto by_key = [](const RunScratch::CollectedEntry& a,
+                               const RunScratch::CollectedEntry& b) {
           return a.key < b.key;
         };
         if (!std::is_sorted(ents + begin, ents + end, by_key)) {
@@ -800,22 +913,22 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
         // accumulates each entry into the running fold exactly once. Each
         // event pays one add per (window, query) for its whole admitted set
         // instead of one per edge.
-        const double* lo_col = run_lo_.data() + t * m;
-        const uint8_t* strict_col = run_lo_strict_.data() + t * m;
-        run_order_.resize(m);
-        std::iota(run_order_.begin(), run_order_.end(), 0u);
-        std::sort(run_order_.begin(), run_order_.end(),
+        const double* lo_col = rs.lo.data() + t * m;
+        const uint8_t* strict_col = rs.lo_strict.data() + t * m;
+        rs.order.resize(m);
+        std::iota(rs.order.begin(), rs.order.end(), 0u);
+        std::sort(rs.order.begin(), rs.order.end(),
                   [&](uint32_t a, uint32_t b) {
                     if (lo_col[a] != lo_col[b]) return lo_col[a] > lo_col[b];
                     return strict_col[a] > strict_col[b];
                   });
 
-        run_acc_.assign(cell_stride, AggCell());
-        AggCell* const acc = run_acc_.data();
-        const EdgeFold ef = EdgeFoldFor<K>(run_tidx_[t]);
+        rs.acc.assign(cell_stride, AggCell());
+        AggCell* const acc = rs.acc.data();
+        const EdgeFold ef = EdgeFoldFor<K>(rs.tidx[t]);
         size_t ei = end;  // Entries [ei, end) are consumed.
         for (size_t r = 0; r < m; ++r) {
-          const uint32_t i = run_order_[r];
+          const uint32_t i = rs.order[r];
           const double lo = lo_col[i];
           const bool strict = strict_col[i] != 0;
           while (ei > begin) {
@@ -837,8 +950,8 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
             }
           }
           if (ei == end) continue;  // Nothing admitted yet.
-          run_found_[i] = 1;
-          AggCell* vrow = run_cells_.data() + static_cast<size_t>(i) * cell_stride;
+          rs.found[i] = 1;
+          AggCell* vrow = rs.cells.data() + size_t{i} * cell_stride;
           for (int c = 0; c < k; ++c) {
             FoldEdge<K>(acc + static_cast<size_t>(c) * nq,
                         vrow + static_cast<size_t>(c) * nq, nq, ef);
@@ -849,105 +962,92 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
       // PerEvent: each event re-filters the shared collection by its own
       // bounds (plain value comparisons; exact for real keys) and the
       // transition's compiled residual filter, then folds the survivors in
-      // the scalar scan's exact order — bit-identical even for SUM.
+      // the scalar scan's exact order — bit-identical even for SUM. Under
+      // modular counters the survivors fold from dense per-(window, query)
+      // columns of the entries' cells, built once per (state, run)
+      // (BuildRunColumns); exact counters and kPartial fold each
+      // survivor's cells through FoldEdge.
       //
       // SIMD lanes (dispatched ISA only): the entry keys are copied into a
       // dense column once per (state, run) so each event's re-filter is one
-      // vector range-select; transitions with fast-shape residuals get
-      // prev-side predicate columns; and the single-window modular COUNT
-      // shape with no residuals fuses re-filter and fold into one masked
-      // wrapping sum (associative, so lane order cannot change the result).
+      // vector range-select, and transitions with fast-shape residuals get
+      // prev-side predicate columns.
       const simd::Kernels& kd = simd::Dispatch();
-      const size_t num_entries = run_entries_.size();
-      [[maybe_unused]] bool fuse_counts = false;
+      const size_t num_entries = rs.entries.size();
       if (batch_simd_) {
-        run_keys_.resize(num_entries);
+        rs.keys.resize(num_entries);
         for (size_t j = 0; j < num_entries; ++j) {
-          run_keys_[j] = run_entries_[j].key;
+          rs.keys[j] = rs.entries[j].key;
         }
-        run_prev_built_.assign(nt, 0);
-        run_prev_cols_.resize(nt);
+        rs.prev_built.assign(nt, 0);
+        rs.prev_cols.resize(nt);
         for (size_t t = 0; t < nt; ++t) {
-          const size_t begin = run_spans_[t];
-          const size_t end = run_spans_[t + 1];
-          const CompiledEdgeFilter& ef = edge_filters_[run_tidx_[t]];
+          const size_t begin = rs.spans[t];
+          const size_t end = rs.spans[t + 1];
+          const CompiledEdgeFilter& ef = edge_filters_[rs.tidx[t]];
           if (begin != end && ef.has_fast()) {
-            ef.BuildPrevColumns(run_views_.data() + begin, end - begin,
-                                &run_prev_cols_[t]);
-            run_prev_built_[t] = 1;
-          }
-        }
-        if constexpr (K == PropKernel::kCountModular) {
-          if (k == 1 && nq == 1) {
-            fuse_counts = true;
-            run_counts_.resize(num_entries);
-            for (size_t j = 0; j < num_entries; ++j) {
-              // k == 1: the collection kept only entries live in THE
-              // window, so this cell exists and the fused fold adds the
-              // same nonzero counts the scalar IsZero test admits.
-              run_counts_[j] =
-                  run_entries_[j].u->cell(first_wid)->count.ModularValue();
-            }
+            ef.BuildPrevColumns(rs.views.data() + begin, end - begin,
+                                &rs.prev_cols[t]);
+            rs.prev_built[t] = 1;
           }
         }
       }
+      const bool columns = kColumnKernel && modular_columns_;
+      if constexpr (kColumnKernel) {
+        if (columns) BuildRunColumns<K>(first_wid, last_wid, nq);
+      }
       for (size_t i = 0; i < m; ++i) {
-        const EventView e_view = batch.view(run_sel_[i]);
-        AggCell* vrow = run_cells_.data() + i * cell_stride;
+        const EventView e_view = batch.view(rs.sel[i]);
+        AggCell* vrow = rs.cells.data() + i * cell_stride;
         bool found = false;
         for (size_t t = 0; t < nt; ++t) {
-          const size_t begin = run_spans_[t];
-          const size_t end = run_spans_[t + 1];
+          const size_t begin = rs.spans[t];
+          const size_t end = rs.spans[t + 1];
           if (begin == end) continue;
           const size_t at = t * m + i;
-          const double lo = run_lo_[at];
-          const double hi = run_hi_[at];
-          const bool lo_strict = run_lo_strict_[at] != 0;
-          const bool hi_strict = run_hi_strict_[at] != 0;
-          const CompiledEdgeFilter& filter = edge_filters_[run_tidx_[t]];
-          if constexpr (K == PropKernel::kCountModular) {
-            if (fuse_counts && filter.trivial()) {
-              const simd::MaskedSum ms = kd.masked_count_sum(
-                  run_keys_.data(), run_counts_.data(),
-                  static_cast<uint32_t>(begin), static_cast<uint32_t>(end),
-                  lo, lo_strict, hi, hi_strict);
-              if (ms.lanes != 0) {
-                vrow[0].count.AddRaw(ms.sum);
-                found = true;
-                edges_ += ms.lanes;
-              }
+          const double lo = rs.lo[at];
+          const double hi = rs.hi[at];
+          const bool lo_strict = rs.lo_strict[at] != 0;
+          const bool hi_strict = rs.hi_strict[at] != 0;
+          const CompiledEdgeFilter& filter = edge_filters_[rs.tidx[t]];
+          size_t cnt;
+          if (batch_simd_) {
+            rs.filtered.resize(end - begin);
+            cnt = kd.range_select(rs.keys.data(), static_cast<uint32_t>(begin),
+                                  static_cast<uint32_t>(end), lo, lo_strict,
+                                  hi, hi_strict, rs.filtered.data());
+          } else {
+            rs.filtered.clear();
+            for (size_t j = begin; j < end; ++j) {
+              const double key = rs.entries[j].key;
+              if (lo_strict ? key <= lo : key < lo) continue;
+              if (hi_strict ? key >= hi : key > hi) continue;
+              rs.filtered.push_back(static_cast<uint32_t>(j));
+            }
+            cnt = rs.filtered.size();
+          }
+          if (cnt != 0 && !filter.trivial()) {
+            cnt = batch_simd_ && rs.prev_built[t] != 0
+                      ? filter.Filter(e_view, rs.views.data(),
+                                      rs.prev_cols[t],
+                                      static_cast<uint32_t>(begin),
+                                      rs.filtered.data(), cnt)
+                      : filter.Filter(e_view, rs.views.data(),
+                                      rs.filtered.data(), cnt);
+          }
+          if (cnt == 0) continue;
+          if constexpr (kColumnKernel) {
+            if (columns) {
+              // Every collected entry is live in some run window.
+              edges_ += FoldRunColumns<K>(rs.filtered.data(), cnt, vrow,
+                                          cell_stride, nq);
+              found = true;
               continue;
             }
           }
-          size_t cnt;
-          if (batch_simd_) {
-            run_filtered_.resize(end - begin);
-            cnt = kd.range_select(
-                run_keys_.data(), static_cast<uint32_t>(begin),
-                static_cast<uint32_t>(end), lo, lo_strict, hi, hi_strict,
-                run_filtered_.data());
-          } else {
-            run_filtered_.clear();
-            for (size_t j = begin; j < end; ++j) {
-              const double key = run_entries_[j].key;
-              if (lo_strict ? key <= lo : key < lo) continue;
-              if (hi_strict ? key >= hi : key > hi) continue;
-              run_filtered_.push_back(static_cast<uint32_t>(j));
-            }
-            cnt = run_filtered_.size();
-          }
-          if (cnt != 0 && !filter.trivial()) {
-            cnt = batch_simd_ && run_prev_built_[t] != 0
-                      ? filter.Filter(e_view, run_views_.data(),
-                                      run_prev_cols_[t],
-                                      static_cast<uint32_t>(begin),
-                                      run_filtered_.data(), cnt)
-                      : filter.Filter(e_view, run_views_.data(),
-                                      run_filtered_.data(), cnt);
-          }
-          const EdgeFold ef = EdgeFoldFor<K>(run_tidx_[t]);
+          const EdgeFold ef = EdgeFoldFor<K>(rs.tidx[t]);
           for (size_t fj = 0; fj < cnt; ++fj) {
-            const GraphVertex* u = run_entries_[run_filtered_[fj]].u;
+            const GraphVertex* u = rs.entries[rs.filtered[fj]].u;
             WindowId lo_w = std::max(first_wid, u->first_wid);
             WindowId hi_w =
                 std::min(last_wid, u->first_wid + WindowId{u->num_wids} - 1);
@@ -961,7 +1061,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
             }
           }
         }
-        run_found_[i] = found ? 1 : 0;
+        rs.found[i] = found ? 1 : 0;
       }
     }
     batch_strategy_rows_[static_cast<size_t>(strat)] += m;
@@ -973,7 +1073,7 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
     if (is_start) {
       stored_count = m;
     } else {
-      for (size_t i = 0; i < m; ++i) stored_count += run_found_[i];
+      for (size_t i = 0; i < m; ++i) stored_count += rs.found[i];
     }
     if (stored_count == 0) continue;
     panes_.ArenaFor(ts)->Reserve(
@@ -983,9 +1083,9 @@ void GretaGraph::InsertRunFast(const EventBatch& batch, const uint32_t* rows,
 
     run_outs_.assign(static_cast<size_t>(k), nullptr);
     for (size_t i = 0; i < m; ++i) {
-      if (!is_start && !run_found_[i]) continue;
-      AggCell* vrow = run_cells_.data() + i * cell_stride;
-      const EventRef e = batch.ref(run_sel_[i]);
+      if (!is_start && !rs.found[i]) continue;
+      AggCell* vrow = rs.cells.data() + i * cell_stride;
+      const EventRef e = batch.ref(rs.sel[i]);
       for (int c = 0; c < k; ++c) {
         FinishRow<K>(vrow + static_cast<size_t>(c) * nq, nq, e, s, is_start);
       }

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/column_projection.h"
 #include "common/event_batch.h"
 #include "common/memory.h"
 #include "predicate/batch_filter.h"
@@ -96,6 +97,60 @@ struct GraphVertex {
   }
 };
 
+/// Scratch of the run kernel (GretaGraph::InsertBatch): every buffer is
+/// refilled per call and read only inside it, so one instance serves every
+/// graph of an engine (an engine is driven by one thread at a time). The
+/// engine hands it to each graph the way it hands out its PanePool. It is
+/// not charged to the MemoryTracker: like the row kernel's scratch cells it
+/// holds no state between calls.
+struct RunScratch {
+  // Group-dense projection of the fast-predicate attributes over one
+  // InsertBatch call's rows: lane k is batch row group_rows[k], and `base`
+  // is the current run's offset into the group, so run positions are
+  // consecutive lanes.
+  ColumnProjection group_proj;
+  bool group_proj_ready = false;
+  const uint32_t* group_rows = nullptr;
+  size_t base = 0;
+
+  std::vector<uint32_t> sel;        // batch rows selected at the state
+  std::vector<uint32_t> pos;        // their group_proj lane positions
+  std::vector<AggCell> cells;       // per selected row: k * stride cells
+  std::vector<double> lo;           // per (transition, row): key bounds
+  std::vector<double> hi;
+  std::vector<uint8_t> lo_strict;
+  std::vector<uint8_t> hi_strict;
+  std::vector<uint8_t> found;       // per selected row: found_pred
+  std::vector<uint32_t> order;      // rows sorted by (lo desc)
+  struct CollectedEntry {
+    double key;
+    const GraphVertex* u;
+  };
+  std::vector<CollectedEntry> entries;  // all transitions, span-sliced
+  std::vector<size_t> spans;            // nt + 1 offsets into entries
+  std::vector<EventView> views;         // parallel to entries
+  std::vector<uint32_t> filtered;       // per (event, transition) sel
+  std::vector<int> tidx;                // per transition: t_idx
+  std::vector<AggCell> acc;             // shared/suffix accumulators
+  // SIMD lanes over the collected entries (per-event strategy only): dense
+  // keys for the vector range re-filter and per-transition prev-side
+  // predicate columns.
+  std::vector<double> keys;
+  std::vector<CompiledEdgeFilter::PrevColumns> prev_cols;
+  std::vector<uint8_t> prev_built;      // per transition
+  // Predecessor columns (per-event strategy, modular non-partial kernels):
+  // slot-major [(window, query) slot][entry], one array per aggregate
+  // component. An entry outside a slot's window, or with a zero count
+  // there, holds the component's neutral value. `live` counts each entry's
+  // nonzero windows (its edges per admitting event).
+  std::vector<uint64_t> count;
+  std::vector<uint64_t> type_count;
+  std::vector<double> sum;
+  std::vector<double> min;
+  std::vector<double> max;
+  std::vector<uint32_t> live;
+};
+
 /// Runtime instantiation of one GRETA template for one stream partition
 /// (Section 4.2 / Algorithm 2, generalized to occurrence-unique states and
 /// per-window aggregate cells). Invalidation by negative sub-patterns
@@ -111,9 +166,12 @@ struct GraphVertex {
 class GretaGraph {
  public:
   /// `pool` (may be null) recycles expired panes across every graph of
-  /// one engine; it must share `memory` and outlive the graph.
+  /// one engine; it must share `memory` and outlive the graph. `scratch`
+  /// is the engine's run-kernel scratch; it must outlive the graph and be
+  /// used by one thread at a time.
   GretaGraph(const GraphPlan* plan, const ExecPlan* exec,
-             MemoryTracker* memory, PanePool<GraphVertex>* pool);
+             MemoryTracker* memory, PanePool<GraphVertex>* pool,
+             RunScratch* scratch);
 
   GretaGraph(const GretaGraph&) = delete;
   GretaGraph& operator=(const GretaGraph&) = delete;
@@ -141,16 +199,17 @@ class GretaGraph {
   /// non-uniform pure-lower bounds on order-insensitive aggregates, or a
   /// per-event fold over the collected entries that replays the scalar
   /// kernel's exact operation order (residual predicates, upper bounds,
-  /// order-sensitive SUM). Sliding windows, every PropKernel, and partial
-  /// sharing are all covered; results are bit-identical to the scalar path
-  /// (the equivalence tests assert it).
+  /// order-sensitive SUM); under modular counters it folds dense
+  /// per-window columns of the entries' cells. Sliding windows, every
+  /// PropKernel, and partial sharing are all covered; results are
+  /// bit-identical to the scalar path (the equivalence tests assert it).
   ///
   /// When the plan enables SIMD and the process dispatched a vector ISA,
   /// the graph first decomposes its fast-predicate attributes into a
   /// group-dense typed projection over rows[0..n) (lane k = rows[k], so
   /// filter selections are consecutive positions and the kernels take
   /// contiguous loads, not gathers); the state filters, per-event key
-  /// re-filters and modular COUNT folds then run through the dispatched
+  /// re-filters and residual edge filters then run through the dispatched
   /// kernels (common/simd.h) instead of the scalar reference loops.
   /// Results stay bit-identical either way.
   void InsertBatch(const EventBatch& batch, const uint32_t* rows, size_t n);
@@ -296,11 +355,26 @@ class GretaGraph {
   // key order (the scalar scan's order). Returns false when a NaN tree key
   // was seen — per-pane positional scans and value-based re-filtering only
   // agree on real keys, so such runs take the row kernel. `lo_time` is
-  // the scan floor; spans are recorded in run_spans_ (nt + 1 offsets) and
-  // entry views (for residual evaluation) in run_views_.
+  // the scan floor; spans are recorded in scratch_->spans (nt + 1 offsets)
+  // and entry views (for residual evaluation) in scratch_->views.
   bool CollectRunEntries(const std::vector<StateId>& pred_states, Ts lo_time,
                          Ts ts, size_t m, bool lower_only, WindowId first_wid,
                          WindowId last_wid);
+
+  // The per-event strategy's columnar fold (modular counters, K =
+  // kCountModular or kGeneric): BuildRunColumns fills scratch_'s
+  // predecessor columns over the collected entries for the run's
+  // `slots` = k * nq (window, query) slots; FoldRunColumns adds the `n`
+  // entries `idx` (collection order) into the `slots` cells `vrow`. Each
+  // accumulator receives the same adds in the same order as FoldEdge over
+  // the same entries: a neutral entry leaves its bits unchanged, since a
+  // SUM accumulator starts at +0.0 and can never become -0.0. Returns the
+  // edges the fold stands for.
+  template <PropKernel K>
+  void BuildRunColumns(WindowId first_wid, WindowId last_wid, int nq);
+  template <PropKernel K>
+  size_t FoldRunColumns(const uint32_t* idx, size_t n, AggCell* vrow,
+                        size_t slots, int nq) const;
 
   // Aggregate plan of query slot `q` (plans predating the multi-query
   // extension may leave GraphPlan::aggs empty; they have exactly one slot).
@@ -368,53 +442,27 @@ class GretaGraph {
   // Any query slot folds an order-sensitive double SUM (resolved once; the
   // suffix merge re-associates additions and is only valid without it).
   bool any_sum_ = false;
+  // Every query slot counts mod 2^64 and needs no barrier aux: the per-event
+  // strategy folds predecessor columns (kGeneric; kCountModular always
+  // does). Plus which attribute components any slot folds.
+  bool modular_columns_ = false;
+  bool any_type_count_ = false;
+  bool any_min_ = false;
+  bool any_max_ = false;
   // Batch observability (plain members like edges_; the engine flushes
   // deltas into telemetry at window close and sums them into EngineStats).
   size_t batch_fallback_rows_[kNumBatchFallbackReasons] = {0, 0, 0, 0};
   size_t batch_strategy_rows_[kNumBatchStrategies] = {0, 0, 0};
   size_t simd_rows_ = 0;
-  // Per-InsertBatch SIMD state: whether the vector kernels are live for
-  // this call (enable_simd plan knob AND a non-scalar dispatched ISA —
-  // re-tested per call so ForceIsa/ablation flips take effect immediately),
-  // plus the group-dense projection over this call's row group. Lane k of
-  // group_proj_ is batch row group_rows_[k]; run_base_ is the current
-  // run's offset into the group, so run positions are consecutive lanes.
   // Minimum kernel-pass reads of a column (fast-pred uses across every
   // state) before the graph projects it; see the constructor's policy note.
   static constexpr size_t kMinProjectedAttrUses = 3;
-  bool batch_simd_ = false;
   std::vector<AttrId> proj_attrs_;  // fast attrs passing the use threshold
-  ColumnProjection group_proj_;
-  bool group_proj_ready_ = false;
-  const uint32_t* group_rows_ = nullptr;
-  size_t run_base_ = 0;
-  // InsertRunFast scratch, reused across runs to avoid per-run allocation.
-  std::vector<uint32_t> run_sel_;        // batch rows selected at the state
-  std::vector<uint32_t> run_pos_;        // their group_proj_ lane positions
-  std::vector<AggCell> run_cells_;       // per selected row: k * stride cells
-  std::vector<double> run_lo_;           // per (transition, row): key bounds
-  std::vector<double> run_hi_;
-  std::vector<uint8_t> run_lo_strict_;
-  std::vector<uint8_t> run_hi_strict_;
-  std::vector<uint8_t> run_found_;       // per selected row: found_pred
-  std::vector<uint32_t> run_order_;      // rows sorted by (lo desc)
-  struct CollectedEntry {
-    double key;
-    const GraphVertex* u;
-  };
-  std::vector<CollectedEntry> run_entries_;  // all transitions, span-sliced
-  std::vector<size_t> run_spans_;            // nt + 1 offsets into entries
-  std::vector<EventView> run_views_;         // parallel to run_entries_
-  std::vector<uint32_t> run_filtered_;       // per (event, transition) sel
-  // SIMD lanes over the collected entries (per-event strategy only): dense
-  // keys for the vector range re-filter, dense modular counts for the fused
-  // count fold, and per-transition prev-side predicate columns.
-  std::vector<double> run_keys_;
-  std::vector<uint64_t> run_counts_;
-  std::vector<CompiledEdgeFilter::PrevColumns> run_prev_cols_;
-  std::vector<uint8_t> run_prev_built_;      // per transition
-  std::vector<int> run_tidx_;                // per transition: t_idx
-  std::vector<AggCell> run_acc_;             // shared/suffix accumulators
+  // Whether the vector kernels are live for this InsertBatch call
+  // (enable_simd plan knob AND a non-scalar dispatched ISA — re-tested per
+  // call so ForceIsa/ablation flips take effect immediately).
+  bool batch_simd_ = false;
+  RunScratch* scratch_;  // the engine's; see RunScratch
   // Per window result outputs of the current END insert or run (pointers
   // into ResultSlot::outs).
   std::vector<AggOutputs*> run_outs_;

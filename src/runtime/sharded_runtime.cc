@@ -551,6 +551,11 @@ const EngineStats& ShardedRuntime::stats() const {
     total.vertices_stored += s.vertices_stored;
     total.edges_traversed += s.edges_traversed;
     total.work_units += s.work_units;
+    total.batch_rows_fast += s.batch_rows_fast;
+    total.batch_rows_fallback += s.batch_rows_fallback;
+    total.simd_rows += s.simd_rows;
+    total.panes_created += s.panes_created;
+    total.panes_recycled += s.panes_recycled;
   }
   total.peak_bytes = total_memory_.peak_bytes();
   stats_ = total;

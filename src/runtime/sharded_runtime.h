@@ -171,8 +171,9 @@ class ShardedRuntime : public EngineInterface {
   void SetShardPausedForTest(size_t shard, bool paused);
 
   /// Aggregated stats: events counted at the router; vertices / edges /
-  /// work summed over per-shard snapshots (taken by each worker after its
-  /// last processed batch); peak_bytes from the workload roll-up tracker.
+  /// work, batch-kernel and SIMD row counts and pane counts summed over
+  /// per-shard snapshots (taken by each worker after its last processed
+  /// batch); peak_bytes from the workload roll-up tracker.
   const EngineStats& stats() const override;
   const AggPlan& agg_plan() const override { return merger_->agg_plan(0); }
   const AggPlan& agg_plan_for(size_t query_id) const {

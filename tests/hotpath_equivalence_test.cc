@@ -24,6 +24,7 @@
 namespace greta {
 namespace {
 
+using testing::ExpectBitIdenticalRows;
 using testing::MakeGreta;
 using testing::RunEngine;
 
@@ -58,29 +59,6 @@ Stream FuzzStream(Catalog* catalog, uint64_t seed, int n, int nan_every = 0) {
   return stream;
 }
 
-// Bit-exact row comparison: the kernels must not change results at all, so
-// unlike RowsEquivalent there is no floating-point tolerance.
-void ExpectIdenticalRows(const std::vector<ResultRow>& a,
-                         const std::vector<ResultRow>& b,
-                         const std::string& label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].wid, b[i].wid) << label << " row " << i;
-    ASSERT_EQ(a[i].group.size(), b[i].group.size()) << label << " row " << i;
-    for (size_t g = 0; g < a[i].group.size(); ++g) {
-      EXPECT_TRUE(a[i].group[g] == b[i].group[g]) << label << " row " << i;
-    }
-    EXPECT_EQ(a[i].aggs.count.ToDecimal(), b[i].aggs.count.ToDecimal())
-        << label << " row " << i;
-    EXPECT_EQ(a[i].aggs.type_count.ToDecimal(),
-              b[i].aggs.type_count.ToDecimal())
-        << label << " row " << i;
-    EXPECT_EQ(a[i].aggs.min, b[i].aggs.min) << label << " row " << i;
-    EXPECT_EQ(a[i].aggs.max, b[i].aggs.max) << label << " row " << i;
-    EXPECT_EQ(a[i].aggs.sum, b[i].aggs.sum) << label << " row " << i;
-  }
-}
-
 // Runs `spec` with kernels enabled and disabled and asserts identical rows.
 void ExpectKernelMatchesGeneric(const Catalog* catalog, const QuerySpec& spec,
                                 const Stream& stream, EngineOptions options,
@@ -91,7 +69,7 @@ void ExpectKernelMatchesGeneric(const Catalog* catalog, const QuerySpec& spec,
   auto generic = MakeGreta(catalog, spec.Clone(), options);
   std::vector<ResultRow> fast_rows = RunEngine(fast.get(), stream);
   std::vector<ResultRow> generic_rows = RunEngine(generic.get(), stream);
-  ExpectIdenticalRows(fast_rows, generic_rows, label);
+  ExpectBitIdenticalRows(fast_rows, generic_rows, label);
 }
 
 QuerySpec Parse(const std::string& text, Catalog* catalog) {
@@ -204,9 +182,9 @@ TEST(HotpathEquivalence, MultiQuerySharedCells) {
     ProcessStream(fast.value().get(), stream);
     ProcessStream(generic.value().get(), stream);
     for (size_t q = 0; q < specs.size(); ++q) {
-      ExpectIdenticalRows(fast.value()->TakeResultsFor(q),
-                          generic.value()->TakeResultsFor(q),
-                          "multi-query slot " + std::to_string(q));
+      ExpectBitIdenticalRows(fast.value()->TakeResultsFor(q),
+                             generic.value()->TakeResultsFor(q),
+                             "multi-query slot " + std::to_string(q));
     }
   }
 }
@@ -234,8 +212,8 @@ TEST(HotpathEquivalence, PartialSharingMatchesDedicatedKernels) {
   for (size_t q = 0; q < specs.size(); ++q) {
     auto dedicated = MakeGreta(catalog.get(), specs[q].Clone());
     std::vector<ResultRow> expected = RunEngine(dedicated.get(), stream);
-    ExpectIdenticalRows(partial.value()->TakeResultsFor(q), expected,
-                        "partial slot " + std::to_string(q));
+    ExpectBitIdenticalRows(partial.value()->TakeResultsFor(q), expected,
+                           "partial slot " + std::to_string(q));
   }
 }
 
@@ -276,8 +254,8 @@ TEST(HotpathEquivalence, TelemetryOnOffRowsIdentical) {
     std::vector<ResultRow> disarmed_rows = RunEngine(disarmed.get(), stream);
     reg.set_enabled(true);
 
-    ExpectIdenticalRows(armed_rows, disarmed_rows,
-                        std::string("telemetry on/off: ") + text);
+    ExpectBitIdenticalRows(armed_rows, disarmed_rows,
+                           std::string("telemetry on/off: ") + text);
   }
   reg.Reset();
 }
@@ -341,23 +319,32 @@ void ProcessStreamBatched(GretaEngine* engine, const Stream& stream,
 // per-event batches, 7 = misaligned with every window and same-timestamp
 // run, 256 = whole stream in one batch), plus an enable_batch_kernels=false
 // ablation that forces the row-at-a-time path through the batch entry
-// point. All rows bit-identical.
+// point. All rows bit-identical, and every batched run traverses the same
+// edges as the scalar one.
 void ExpectBatchMatchesScalar(const Catalog* catalog, const QuerySpec& spec,
                               const Stream& stream, EngineOptions options,
                               const std::string& label) {
   auto scalar = MakeGreta(catalog, spec.Clone(), options);
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), stream);
+  scalar->RefreshStats();
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
     auto batched = MakeGreta(catalog, spec.Clone(), options);
-    ExpectIdenticalRows(scalar_rows,
-                        RunEngineBatched(batched.get(), stream, batch_size),
-                        label + " batch=" + std::to_string(batch_size));
+    const std::string batch_label =
+        label + " batch=" + std::to_string(batch_size);
+    ExpectBitIdenticalRows(scalar_rows,
+                           RunEngineBatched(batched.get(), stream, batch_size),
+                           batch_label);
+    batched->RefreshStats();
+    EXPECT_EQ(scalar->stats().edges_traversed,
+              batched->stats().edges_traversed)
+        << batch_label;
   }
   EngineOptions ablated = options;
   ablated.enable_batch_kernels = false;
   auto generic = MakeGreta(catalog, spec.Clone(), ablated);
-  ExpectIdenticalRows(scalar_rows, RunEngineBatched(generic.get(), stream, 64),
-                      label + " [batch kernels off]");
+  ExpectBitIdenticalRows(scalar_rows,
+                         RunEngineBatched(generic.get(), stream, 64),
+                         label + " [batch kernels off]");
 }
 
 TEST(BatchEquivalence, SingleQueryKernelGrid) {
@@ -447,9 +434,9 @@ TEST(BatchEquivalence, CrossWindowBoundarySplits) {
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), stream);
   for (size_t batch_size : {size_t{3}, size_t{5}}) {
     auto batched = MakeGreta(catalog.get(), spec.Clone());
-    ExpectIdenticalRows(scalar_rows,
-                        RunEngineBatched(batched.get(), stream, batch_size),
-                        "window split batch=" + std::to_string(batch_size));
+    ExpectBitIdenticalRows(scalar_rows,
+                           RunEngineBatched(batched.get(), stream, batch_size),
+                           "window split batch=" + std::to_string(batch_size));
   }
 }
 
@@ -506,9 +493,9 @@ TEST(BatchEquivalence, MultiQuerySharedCells) {
   ProcessStream(scalar.value().get(), stream);
   ProcessStreamBatched(batched.value().get(), stream, 7);
   for (size_t q = 0; q < specs.size(); ++q) {
-    ExpectIdenticalRows(scalar.value()->TakeResultsFor(q),
-                        batched.value()->TakeResultsFor(q),
-                        "multi-query batched slot " + std::to_string(q));
+    ExpectBitIdenticalRows(scalar.value()->TakeResultsFor(q),
+                           batched.value()->TakeResultsFor(q),
+                           "multi-query batched slot " + std::to_string(q));
   }
 }
 
@@ -534,9 +521,9 @@ TEST(BatchEquivalence, PartialSharingBatchVsScalar) {
   ProcessStream(scalar.value().get(), stream);
   ProcessStreamBatched(batched.value().get(), stream, 7);
   for (size_t q = 0; q < specs.size(); ++q) {
-    ExpectIdenticalRows(scalar.value()->TakeResultsFor(q),
-                        batched.value()->TakeResultsFor(q),
-                        "partial batched slot " + std::to_string(q));
+    ExpectBitIdenticalRows(scalar.value()->TakeResultsFor(q),
+                           batched.value()->TakeResultsFor(q),
+                           "partial batched slot " + std::to_string(q));
   }
 }
 
@@ -638,8 +625,8 @@ TEST(BatchEquivalence, PartialSharingBatchedAggregates) {
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
     ProcessStreamBatched(batched.value().get(), stream, batch_size);
     for (size_t q = 0; q < specs.size(); ++q) {
-      ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
-                          "partial agg slot " + std::to_string(q) +
+      ExpectBitIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
+                             "partial agg slot " + std::to_string(q) +
                               " batch=" + std::to_string(batch_size));
     }
   }
@@ -686,8 +673,8 @@ TEST(BatchEquivalence, PartialSharingSharedTargetSlots) {
       ASSERT_TRUE(batched.ok()) << batched.status().ToString();
       ProcessStreamBatched(batched.value().get(), stream, batch_size);
       for (size_t q = 0; q < specs.size(); ++q) {
-        ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
-                            label + " slot " + std::to_string(q) +
+        ExpectBitIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
+                               label + " slot " + std::to_string(q) +
                                 " batch=" + std::to_string(batch_size));
       }
     }
@@ -754,8 +741,8 @@ TEST(BatchEquivalence, NanSortKeyFallsBackToRowKernel) {
       ASSERT_TRUE(batched.ok()) << batched.status().ToString();
       ProcessStreamBatched(batched.value().get(), stream, batch_size);
       for (size_t q = 0; q < specs.size(); ++q) {
-        ExpectIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
-                            at + " slot " + std::to_string(q));
+        ExpectBitIdenticalRows(batched.value()->TakeResultsFor(q), expected[q],
+                               at + " slot " + std::to_string(q));
       }
       if (batch_size > 1) {
         EXPECT_GT(fallback_rows(batched.value().get()), 0u) << at;
@@ -890,9 +877,9 @@ TEST(BatchEquivalence, KSlackReleasedBatches) {
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), released);
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
     auto batched = MakeGreta(catalog.get(), spec.Clone());
-    ExpectIdenticalRows(scalar_rows,
-                        RunEngineBatched(batched.get(), released, batch_size),
-                        "kslack batch=" + std::to_string(batch_size));
+    ExpectBitIdenticalRows(
+        scalar_rows, RunEngineBatched(batched.get(), released, batch_size),
+        "kslack batch=" + std::to_string(batch_size));
   }
 }
 
@@ -915,7 +902,7 @@ TEST(BatchEquivalence, SortWithinBatchRepairsLocalDisorder) {
   auto scalar = MakeGreta(catalog.get(), spec.Clone());
   std::vector<ResultRow> scalar_rows = RunEngine(scalar.get(), ordered);
   auto batched = MakeGreta(catalog.get(), spec.Clone());
-  ExpectIdenticalRows(
+  ExpectBitIdenticalRows(
       scalar_rows,
       RunEngineBatched(batched.get(), wire, 8, /*sort_within_batch=*/true),
       "sort_within_batch");
@@ -945,6 +932,161 @@ TEST(BatchEquivalence, DisorderedBatchesRejected) {
   // Empty batches are harmless (watermark-only heartbeats).
   EventBatch empty;
   EXPECT_TRUE(engine->ProcessBatch(empty).ok());
+}
+
+// --- Fold order: the per-event strategy's columnar fold ---
+
+// x values that make floating-point summation order visible: 1e16 + 1.0
+// rounds back to 1e16, so 1.0, 1e16, -1e16 sums to 0 in that order and to 1
+// in reverse; -0.0 checks that no fold turns a +0.0 SUM negative, and the
+// key ties exercise strict/non-strict bound edges. Half the events are A
+// and about eight share each timestamp, so runs are long and a vertex folds
+// many predecessors.
+Stream CancellingStream(Catalog* catalog, uint64_t seed, int n) {
+  Random rng(seed);
+  const char* types[] = {"A", "A", "B", "C"};
+  const double terms[] = {1e16, -1e16, 1.0, -0.0, 2.5, 0.5, -2.0, 3.0};
+  Stream stream;
+  Ts time = 0;
+  for (int i = 0; i < n; ++i) {
+    time += rng.UniformInt(0, 7) == 0 ? 1 : 0;
+    stream.Append(EventBuilder(catalog, types[rng.UniformInt(0, 3)], time)
+                      .Set("x", terms[rng.UniformInt(0, 7)])
+                      .Set("g", rng.UniformInt(0, 2))
+                      .Build());
+  }
+  return stream;
+}
+
+// Windows of `width` seconds whose A-event x values sum to different bits
+// in stream order and in reverse.
+int OrderSensitiveWindows(const Stream& stream, const Catalog& catalog,
+                          Ts width) {
+  const TypeId a = catalog.FindType("A");
+  std::vector<std::vector<double>> terms;
+  for (const Event& e : stream.events()) {
+    if (e.type != a) continue;
+    const size_t w = static_cast<size_t>(e.time / width);
+    if (w >= terms.size()) terms.resize(w + 1);
+    terms[w].push_back(e.attr(0).ToDouble());
+  }
+  int sensitive = 0;
+  for (const std::vector<double>& t : terms) {
+    double forward = 0.0;
+    for (double x : t) forward += x;
+    double reverse = 0.0;
+    for (auto it = t.rbegin(); it != t.rend(); ++it) reverse += *it;
+    sensitive += testing::SameBits(forward, reverse) ? 0 : 1;
+  }
+  return sensitive;
+}
+
+// Rows the run kernel folded with the per-event strategy so far (0 when
+// telemetry is compiled out or the registry is disabled).
+uint64_t PerEventRows() {
+  telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
+  if (!reg.Armed()) return 0;
+  return reg.GetCounter("greta_core_batch_rows_total{strategy=\"per_event\"}")
+      ->Value();
+}
+
+// The per-event strategy folds every event's admitted predecessors in the
+// row kernel's order; under modular counters it reads them from per-window
+// columns, padding entries outside a window with neutral values. On a
+// stream where summation order changes SUM's bits, batches of 1, 7 and 256
+// must equal Process bit for bit: SUM, AVG, MIN+MAX and COUNT(S), with a
+// range-only NEXT predicate and with a residual, k = 1, 2 and 5 windows per
+// event, modular and exact counters, START and non-START Kleene states.
+TEST(BatchEquivalence, FoldOrderSurvivesColumnarFold) {
+  auto catalog = FuzzCatalog();
+  Stream stream = CancellingStream(catalog.get(), 211, 800);
+  EXPECT_GT(OrderSensitiveWindows(stream, *catalog, 8), 0);
+
+  telemetry::MetricRegistry& reg = telemetry::MetricRegistry::Default();
+  reg.Reset();
+  reg.set_enabled(true);
+  const char* aggs[] = {"SUM(S.x)", "AVG(S.x)", "MIN(S.x), MAX(S.x)",
+                        "COUNT(S)"};
+  const char* nexts[] = {"S.x < NEXT(S).x",
+                         "S.x < NEXT(S).x AND S.g >= NEXT(S).g"};
+  const char* windows[] = {" WITHIN 8 seconds SLIDE 8 seconds",
+                           " WITHIN 8 seconds SLIDE 4 seconds",
+                           " WITHIN 10 seconds SLIDE 2 seconds"};
+  // In SEQ(C P, A S+) an S vertex is stored only with a predecessor; with
+  // P rare, a sliding S vertex often holds a zero count in a later window.
+  const std::pair<const char*, const char*> patterns[] = {
+      {" PATTERN A S+ WHERE ", ""},
+      {" PATTERN SEQ(C P, A S+) WHERE ", "P.x > 2.75 AND "}};
+  for (CounterMode mode : {CounterMode::kModular, CounterMode::kExact}) {
+    for (const char* agg : aggs) {
+      for (const auto& [pattern, pattern_pred] : patterns) {
+        for (const char* next : nexts) {
+          for (const char* window : windows) {
+            const std::string text = "RETURN COUNT(*), " + std::string(agg) +
+                                     pattern + pattern_pred + next + window;
+            EngineOptions options;
+            options.counter_mode = mode;
+            const uint64_t per_event_before = PerEventRows();
+            ExpectBatchMatchesScalar(
+                catalog.get(), Parse(text, catalog.get()), stream, options,
+                text + (mode == CounterMode::kExact ? " [exact]"
+                                                    : " [modular]"));
+            if (reg.Armed()) {
+              EXPECT_GT(PerEventRows(), per_event_before) << text;
+            }
+          }
+        }
+      }
+    }
+  }
+  reg.Reset();
+}
+
+// The same on a shared multi-query cluster (CreateMulti, nq = 3 query slots
+// per window, mixed aggregates): each slot folds its own components.
+TEST(BatchEquivalence, FoldOrderSurvivesColumnarFoldMultiQuery) {
+  auto catalog = FuzzCatalog();
+  Stream stream = CancellingStream(catalog.get(), 223, 800);
+  EXPECT_GT(OrderSensitiveWindows(stream, *catalog, 8), 0);
+  const char* windows[] = {" WITHIN 8 seconds SLIDE 8 seconds",
+                           " WITHIN 8 seconds SLIDE 4 seconds",
+                           " WITHIN 10 seconds SLIDE 2 seconds"};
+  for (CounterMode mode : {CounterMode::kModular, CounterMode::kExact}) {
+    for (const char* window : windows) {
+      std::vector<QuerySpec> specs;
+      for (const char* agg : {"SUM(S.x)", "MIN(S.x), MAX(S.x)", "COUNT(S)"}) {
+        specs.push_back(Parse(std::string("RETURN ") + agg +
+                                  " PATTERN A S+ WHERE S.x < NEXT(S).x" +
+                                  window,
+                              catalog.get()));
+      }
+      std::vector<const QuerySpec*> spec_ptrs;
+      for (const QuerySpec& s : specs) spec_ptrs.push_back(&s);
+      EngineOptions options;
+      options.counter_mode = mode;
+      auto scalar = GretaEngine::CreateMulti(catalog.get(), spec_ptrs, options);
+      ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+      ProcessStream(scalar.value().get(), stream);
+      std::vector<std::vector<ResultRow>> want(specs.size());
+      for (size_t q = 0; q < specs.size(); ++q) {
+        want[q] = scalar.value()->TakeResultsFor(q);
+      }
+      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
+        auto batched =
+            GretaEngine::CreateMulti(catalog.get(), spec_ptrs, options);
+        ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+        ProcessStreamBatched(batched.value().get(), stream, batch_size);
+        for (size_t q = 0; q < specs.size(); ++q) {
+          ExpectBitIdenticalRows(
+              want[q], batched.value()->TakeResultsFor(q),
+              std::string(window) +
+                  (mode == CounterMode::kExact ? " [exact]" : " [modular]") +
+                  " batch=" + std::to_string(batch_size) + " slot " +
+                  std::to_string(q));
+        }
+      }
+    }
+  }
 }
 
 // --- Counter promotion boundary (u64 overflow edge) ---
@@ -1041,7 +1183,7 @@ TEST(CounterPromotion, EngineCountCrossesU64Boundary) {
   auto generic_engine = MakeGreta(catalog.get(), spec.Clone(), exact);
   std::vector<ResultRow> generic_rows =
       RunEngine(generic_engine.get(), stream);
-  ExpectIdenticalRows(exact_rows, generic_rows, "overflow exact-vs-generic");
+  ExpectBitIdenticalRows(exact_rows, generic_rows, "overflow exact-vs-generic");
 }
 
 }  // namespace

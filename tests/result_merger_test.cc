@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <unordered_map>
@@ -16,11 +15,14 @@
 
 #include "gtest/gtest.h"
 #include "runtime/result_merger.h"
+#include "tests/test_util.h"
 
 namespace greta {
 namespace {
 
 using runtime::ResultMerger;
+using testing::ExpectBitIdenticalRows;
+using testing::SameBits;
 
 AggPlan SumMinMaxPlan() {
   AggPlan plan;
@@ -70,34 +72,6 @@ std::vector<ResultRow> HashMerge(
   return out;
 }
 
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void ExpectBitIdentical(const std::vector<ResultRow>& got,
-                        const std::vector<ResultRow>& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    const ResultRow& g = got[i];
-    const ResultRow& w = want[i];
-    EXPECT_EQ(g.wid, w.wid) << "row " << i;
-    ASSERT_EQ(g.group.size(), w.group.size()) << "row " << i;
-    for (size_t k = 0; k < g.group.size(); ++k) {
-      EXPECT_EQ(g.group[k].kind(), w.group[k].kind()) << "row " << i;
-      EXPECT_EQ(g.group[k].Compare(w.group[k]), 0) << "row " << i;
-    }
-    EXPECT_EQ(g.aggs.count.ToDecimal(), w.aggs.count.ToDecimal())
-        << "row " << i;
-    EXPECT_EQ(g.aggs.type_count.ToDecimal(), w.aggs.type_count.ToDecimal())
-        << "row " << i;
-    EXPECT_TRUE(SameBits(g.aggs.sum, w.aggs.sum))
-        << "row " << i << ": " << g.aggs.sum << " vs " << w.aggs.sum;
-    EXPECT_TRUE(SameBits(g.aggs.min, w.aggs.min)) << "row " << i;
-    EXPECT_TRUE(SameBits(g.aggs.max, w.aggs.max)) << "row " << i;
-    EXPECT_EQ(g.aggs.any, w.aggs.any) << "row " << i;
-  }
-}
-
 // Stages one window's rows per shard in `stage_order`, releases the window
 // through the shard clocks, and returns the merged rows.
 std::vector<ResultRow> MergeOneWindow(
@@ -122,7 +96,7 @@ TEST(ResultMerger, FloatingPointSumMergesInAscendingShardOrder) {
       {Row(0, Value::Int(7), 1, -1e16)},
   };
   std::vector<ResultRow> got = MergeOneWindow(per_shard, {2, 1, 0}, 10);
-  ExpectBitIdentical(got, HashMerge(per_shard, 0, SumMinMaxPlan()));
+  ExpectBitIdenticalRows(HashMerge(per_shard, 0, SumMinMaxPlan()), got);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_TRUE(SameBits(got[0].aggs.sum, 0.0)) << got[0].aggs.sum;
   EXPECT_EQ(got[0].aggs.count.ToDecimal(), "3");
@@ -135,7 +109,7 @@ TEST(ResultMerger, DuplicateGroupsFromOneShardMergeInStagedOrder) {
       {Row(0, Value::Int(1), 4, -1e16), Row(0, Value::Int(3), 5, 2.5)},
   };
   std::vector<ResultRow> got = MergeOneWindow(per_shard, {0, 1}, 10);
-  ExpectBitIdentical(got, HashMerge(per_shard, 0, SumMinMaxPlan()));
+  ExpectBitIdenticalRows(HashMerge(per_shard, 0, SumMinMaxPlan()), got);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].aggs.count.ToDecimal(), "7");
 }
@@ -147,7 +121,7 @@ TEST(ResultMerger, OutOfOrderShardRowsTakeTheResortPath) {
       {Row(0, Value::Int(2), 5, 0.7), Row(0, Value::Int(1), 6, -1e16)},
   };
   std::vector<ResultRow> got = MergeOneWindow(per_shard, {1, 0}, 10);
-  ExpectBitIdentical(got, HashMerge(per_shard, 0, SumMinMaxPlan()));
+  ExpectBitIdenticalRows(HashMerge(per_shard, 0, SumMinMaxPlan()), got);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].group[0].AsInt(), 1);
   EXPECT_TRUE(SameBits(got[0].aggs.sum, 0.0)) << got[0].aggs.sum;
@@ -164,7 +138,7 @@ TEST(ResultMerger, EmptyShardsAndMixedKindKeys) {
       {Row(0, Value::Double(4.0), 3, 0.25), Row(0, Value::Double(nan), 4, 3.0)},
   };
   std::vector<ResultRow> got = MergeOneWindow(per_shard, {3, 2, 1, 0}, 10);
-  ExpectBitIdentical(got, HashMerge(per_shard, 0, SumMinMaxPlan()));
+  ExpectBitIdenticalRows(HashMerge(per_shard, 0, SumMinMaxPlan()), got);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].group[0].kind(), Value::Kind::kInt);
   EXPECT_EQ(got[0].aggs.count.ToDecimal(), "4");
@@ -193,8 +167,8 @@ TEST(ResultMerger, UnboundedWindowWaitsForMarkFlushed) {
   EXPECT_FALSE(merger.HasReady());
   EXPECT_EQ(merger.pending_windows(), 1u);
   merger.MarkFlushed();
-  ExpectBitIdentical(merger.TakeReady(0),
-                     HashMerge(per_shard, 0, SumMinMaxPlan()));
+  ExpectBitIdenticalRows(HashMerge(per_shard, 0, SumMinMaxPlan()),
+                         merger.TakeReady(0));
   EXPECT_EQ(merger.pending_windows(), 0u);
 }
 
@@ -250,7 +224,7 @@ TEST(ResultMerger, RandomWindowsMatchHashMerge) {
       }
     }
     merger.MarkFlushed();
-    ExpectBitIdentical(merger.TakeReady(0), want);
+    ExpectBitIdenticalRows(want, merger.TakeReady(0));
   }
 }
 

@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "common/event_batch.h"
 #include "common/kslack.h"
+#include "common/simd.h"
 #include "gtest/gtest.h"
 #include "query/parser.h"
 #include "runtime/sharded_runtime.h"
@@ -169,6 +171,50 @@ TEST(ShardRuntime, SingleQueryGroupedCountAcrossShardCountsAndSeeds) {
                               std::to_string(shards));
     }
   }
+}
+
+// stats() rolls up every shard's counters, not only vertices and edges:
+// on a query the batch kernels cover, two shards together report the
+// batch-kernel and SIMD row counts of one engine's ProcessBatch over the
+// same stream (each row is counted once, on whichever shard holds it).
+TEST(ShardRuntime, StatsRollUpBatchKernelAndSimdRows) {
+  auto catalog = std::make_unique<Catalog>();
+  RegisterStockTypes(catalog.get());
+  Stream stream = MakeStockStream(catalog.get(), 31);
+  const QuerySpec spec = Parse(Q1Text(1.0, 10, 5), catalog.get());
+
+  EngineOptions engine_options;
+  engine_options.counter_mode = CounterMode::kExact;
+  auto engine = testing::MakeGreta(catalog.get(), spec, engine_options);
+  EventBatch batch;
+  const std::vector<Event>& events = stream.events();
+  for (size_t i = 0; i < events.size();) {
+    batch.clear();
+    for (; i < events.size() && batch.size() < 256; ++i) {
+      batch.Append(events[i]);
+    }
+    ASSERT_TRUE(engine->ProcessBatch(batch).ok());
+  }
+  ASSERT_TRUE(engine->Flush().ok());
+  const EngineStats single = engine->stats();
+  EXPECT_GT(single.batch_rows_fast, 0u);
+  EXPECT_EQ(single.batch_rows_fallback, 0u);
+  if (simd::DispatchedIsa() != simd::Isa::kScalar) {
+    EXPECT_GT(single.simd_rows, 0u);
+  }
+
+  std::vector<QuerySpec> workload;
+  workload.push_back(spec.Clone());
+  auto rt = MakeSharded(catalog.get(), workload, 2);
+  ASSERT_NE(rt, nullptr);
+  ASSERT_EQ(rt->num_shards(), 2u);
+  RunSharded(rt.get(), stream);
+  const EngineStats& sharded = rt->stats();
+  EXPECT_EQ(sharded.batch_rows_fast, single.batch_rows_fast);
+  EXPECT_EQ(sharded.batch_rows_fallback, 0u);
+  EXPECT_EQ(sharded.simd_rows, single.simd_rows);
+  EXPECT_EQ(sharded.edges_traversed, single.edges_traversed);
+  EXPECT_GT(sharded.panes_created, 0u);
 }
 
 TEST(ShardRuntime, WatermarkReleasesRowsMidStream) {

@@ -29,7 +29,6 @@ using simd::CmpConst;
 using simd::CmpOp;
 using simd::Isa;
 using simd::Kernels;
-using simd::MaskedSum;
 using simd::NumColumn;
 
 constexpr uint8_t kTagNull = 0;
@@ -198,7 +197,7 @@ TEST(SimdKernelDifferential, FilterSelMatchesScalar) {
   }
 }
 
-TEST(SimdKernelDifferential, RangeSelectAndMaskedCountSumMatchScalar) {
+TEST(SimdKernelDifferential, RangeSelectMatchesScalar) {
   const auto tables = VectorTables();
   std::mt19937_64 rng(7);
   const Kernels& ref = simd::ScalarKernels();
@@ -206,11 +205,9 @@ TEST(SimdKernelDifferential, RangeSelectAndMaskedCountSumMatchScalar) {
   for (int iter = 0; iter < 300; ++iter) {
     const size_t n = iter % 5 == 0 ? 0 : 1 + (rng() % 200);
     std::vector<double> keys(n);
-    std::vector<uint64_t> counts(n);
     for (size_t i = 0; i < n; ++i) {
       keys[i] = rng() % 32 == 0 ? std::numeric_limits<double>::quiet_NaN()
                                 : real(rng);
-      counts[i] = rng() % 4 == 0 ? 0 : rng();
     }
     const uint32_t begin = n == 0 ? 0 : rng() % n;
     const uint32_t end = n == 0 ? 0 : begin + rng() % (n - begin + 1);
@@ -226,9 +223,6 @@ TEST(SimdKernelDifferential, RangeSelectAndMaskedCountSumMatchScalar) {
                                            lo_strict, hi, hi_strict,
                                            want.data());
     want.resize(want_n);
-    const MaskedSum want_sum =
-        ref.masked_count_sum(keys.data(), counts.data(), begin, end, lo,
-                             lo_strict, hi, hi_strict);
     for (const auto& [name, table] : tables) {
       std::vector<uint32_t> got(n);
       const size_t got_n = table->range_select(keys.data(), begin, end, lo,
@@ -236,11 +230,6 @@ TEST(SimdKernelDifferential, RangeSelectAndMaskedCountSumMatchScalar) {
                                                got.data());
       got.resize(got_n);
       ASSERT_EQ(want, got) << name << " iter " << iter;
-      const MaskedSum got_sum =
-          table->masked_count_sum(keys.data(), counts.data(), begin, end, lo,
-                                  lo_strict, hi, hi_strict);
-      ASSERT_EQ(want_sum.sum, got_sum.sum) << name << " iter " << iter;
-      ASSERT_EQ(want_sum.lanes, got_sum.lanes) << name << " iter " << iter;
     }
   }
 }
@@ -358,21 +347,6 @@ std::vector<ResultRow> RunQuery(Catalog* catalog, const QuerySpec& spec,
   return rows;
 }
 
-void ExpectIdenticalRows(const std::vector<ResultRow>& want,
-                         const std::vector<ResultRow>& got,
-                         const std::string& label) {
-  ASSERT_EQ(want.size(), got.size()) << label;
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(want[i].wid, got[i].wid) << label << " row " << i;
-    ASSERT_EQ(want[i].group, got[i].group) << label << " row " << i;
-    ASSERT_EQ(want[i].aggs.count.ToDecimal(), got[i].aggs.count.ToDecimal())
-        << label << " row " << i;
-    ASSERT_EQ(want[i].aggs.sum, got[i].aggs.sum) << label << " row " << i;
-    ASSERT_EQ(want[i].aggs.min, got[i].aggs.min) << label << " row " << i;
-    ASSERT_EQ(want[i].aggs.max, got[i].aggs.max) << label << " row " << i;
-  }
-}
-
 TEST(SimdEngineDifferential, RowsBitIdenticalAcrossIsasAndBatchSizes) {
   Catalog catalog;
   StockConfig stock;
@@ -407,19 +381,19 @@ TEST(SimdEngineDifferential, RowsBitIdenticalAcrossIsasAndBatchSizes) {
         RunQuery(&catalog, query, stream, 0, /*enable_simd=*/false);
     for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256}}) {
       const std::string tag = std::to_string(batch_size);
-      ExpectIdenticalRows(
+      testing::ExpectBitIdenticalRows(
           want, RunQuery(&catalog, query, stream, batch_size, false),
           "nosimd batch" + tag);
-      ExpectIdenticalRows(
+      testing::ExpectBitIdenticalRows(
           want, RunQuery(&catalog, query, stream, batch_size, true),
           "dispatched batch" + tag);
     }
     // Force each compiled ISA (ForceIsa clamps to what the host supports).
     for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
       simd::ForceIsa(isa);
-      ExpectIdenticalRows(want, RunQuery(&catalog, query, stream, 256, true),
-                          std::string("forced ") +
-                              simd::IsaName(simd::DispatchedIsa()));
+      testing::ExpectBitIdenticalRows(
+          want, RunQuery(&catalog, query, stream, 256, true),
+          std::string("forced ") + simd::IsaName(simd::DispatchedIsa()));
     }
     simd::ForceIsa(saved);
   }

@@ -1,6 +1,8 @@
 #ifndef GRETA_TESTS_TEST_UTIL_H_
 #define GRETA_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,6 +76,63 @@ inline std::vector<ResultRow> RunEngine(EngineInterface* engine,
   Status s = engine->Flush();
   EXPECT_TRUE(s.ok()) << s.ToString();
   return engine->TakeResults();
+}
+
+/// Same IEEE-754 bit pattern (tells -0.0 from +0.0, NaN payloads apart).
+inline bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Bit-exact row comparison, for paths that must not change results at all
+/// (kernels, batch sizes, SIMD tiers, merge orders): same windows, group
+/// values of the same kinds (doubles with the same bit patterns), exact
+/// counts and type counts, sum/min/max with the same bit patterns, and the
+/// same `any` flag. Unlike
+/// RowsEquivalent there is no floating-point tolerance. Reports the first
+/// differing row.
+inline void ExpectBitIdenticalRows(const std::vector<ResultRow>& want,
+                                   const std::vector<ResultRow>& got,
+                                   const std::string& label = "") {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const ResultRow& w = want[i];
+    const ResultRow& g = got[i];
+    std::string diff;
+    if (w.wid != g.wid) diff += " wid";
+    bool same_group = w.group.size() == g.group.size();
+    for (size_t k = 0; same_group && k < w.group.size(); ++k) {
+      const Value& a = w.group[k];
+      const Value& b = g.group[k];
+      same_group = a.kind() == b.kind() &&
+                   (a.kind() == Value::Kind::kDouble
+                        ? SameBits(a.AsDouble(), b.AsDouble())
+                        : a == b);
+    }
+    if (!same_group) diff += " group";
+    if (w.aggs.count.ToDecimal() != g.aggs.count.ToDecimal()) {
+      diff += " count " + w.aggs.count.ToDecimal() + " vs " +
+              g.aggs.count.ToDecimal();
+    }
+    if (w.aggs.type_count.ToDecimal() != g.aggs.type_count.ToDecimal()) {
+      diff += " type_count " + w.aggs.type_count.ToDecimal() + " vs " +
+              g.aggs.type_count.ToDecimal();
+    }
+    const auto bits = [&](const char* name, double a, double b) {
+      if (SameBits(a, b)) return;
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), " %s %a vs %a", name, a, b);
+      diff += buf;
+    };
+    bits("sum", w.aggs.sum, g.aggs.sum);
+    bits("min", w.aggs.min, g.aggs.min);
+    bits("max", w.aggs.max, g.aggs.max);
+    if (w.aggs.any != g.aggs.any) diff += " any";
+    if (!diff.empty()) {
+      ADD_FAILURE() << label << " row " << i << " (wid " << w.wid
+                    << "):" << diff;
+      return;
+    }
+  }
 }
 
 /// Builds a GRETA engine or fails the test.
